@@ -1,18 +1,23 @@
-//! Control-message framing: markers, resets, and quantum updates on one
+//! Control-message framing: markers and the epoch'd handshakes on one
 //! codepoint.
 //!
-//! The base protocol needs only markers, but §5's fault model adds two
-//! more control exchanges:
+//! The base protocol needs only markers, but §5's fault model and the
+//! dynamic extensions add epoch'd announce/ack exchanges, all carried by
+//! the one machine in [`crate::handshake`]:
 //!
 //! - **Reset** — "we deal with sender or receiver node crashes by doing a
-//!   reset": an epoch-stamped request/acknowledge handshake that
-//!   reinitializes both ends to `s0` (see [`crate::reset`]).
-//! - **Quantum update** — §3.5 generalizes SRR to channels of different
-//!   rated bandwidths via per-channel quanta; when rates change at run
-//!   time (a modem retrain, a PVC renegotiation), both ends must switch
-//!   quanta *at the same round* or the receiver's simulation diverges.
-//!   [`Control::QuantumUpdate`] carries the new quanta and the round at
-//!   which they take effect.
+//!   reset": [`Control::ResetRequest`] / [`Control::ResetAck`]
+//!   reinitialize both ends to `s0`.
+//! - **Membership** — [`Control::Membership`] / [`Control::MembershipAck`]
+//!   shrink or grow the striping set at an agreed round.
+//! - **Retune** — §3.5 generalizes SRR to channels of different rated
+//!   bandwidths via per-channel quanta; when rates change at run time both
+//!   ends must switch quanta *at the same round* or the receiver's
+//!   simulation diverges. [`Control::QuantumAnnounce`] /
+//!   [`Control::QuantumAck`] carry the new quanta and that round.
+//!
+//! Type byte 4 belonged to an unacknowledged quantum update with no
+//! epoch; it is retired and now decodes as malformed.
 //!
 //! Like markers, control messages ride their own codepoint and never
 //! modify data packets. The wire format is a type byte followed by the
@@ -27,8 +32,8 @@ pub type Epoch = u32;
 
 /// Whether `candidate` is a strictly newer epoch than `current` under
 /// wrapping arithmetic: the forward distance is smaller than the backward
-/// one. Shared by the reset and membership handshakes so both age stale
-/// control traffic identically.
+/// one. Shared by every epoch'd handshake (see [`crate::handshake`]) so all
+/// of them age stale control traffic identically.
 pub fn epoch_newer(candidate: Epoch, current: Epoch) -> bool {
     candidate.wrapping_sub(current) != 0 && candidate.wrapping_sub(current) < u32::MAX / 2
 }
@@ -48,14 +53,6 @@ pub enum Control {
     ResetAck {
         /// The epoch being acknowledged.
         epoch: Epoch,
-    },
-    /// Both ends switch to `quanta` when their global round reaches
-    /// `effective_round`.
-    QuantumUpdate {
-        /// Round at which the new quanta take effect.
-        effective_round: u64,
-        /// New per-channel quanta (≤ 16 channels on the wire).
-        quanta: Vec<i64>,
     },
     /// Sender-side liveness probe; the receiver echoes the nonce back on
     /// the reverse path of the same channel. Probes are how a sender
@@ -77,9 +74,8 @@ pub enum Control {
         incarnation: u64,
     },
     /// Both ends shrink or grow the striping set to `live_mask` when their
-    /// global round reaches `effective_round` — the dynamic-membership
-    /// analogue of [`Control::QuantumUpdate`]. Epoch-stamped so duplicated
-    /// or reordered announcements are harmless.
+    /// global round reaches `effective_round`. Epoch-stamped so
+    /// duplicated or reordered announcements are harmless.
     Membership {
         /// The membership generation being established.
         epoch: Epoch,
@@ -96,10 +92,8 @@ pub enum Control {
         epoch: Epoch,
     },
     /// Epoch-stamped live retune: both ends switch to `quanta` when
-    /// their global round reaches `effective_round`. The adaptive
-    /// tuner's announcement — a [`Control::QuantumUpdate`] with the
-    /// membership handshake's reliability: the epoch makes duplicated
-    /// or reordered announcements harmless and the matching
+    /// their global round reaches `effective_round`. The epoch makes
+    /// duplicated or reordered announcements harmless and the matching
     /// [`Control::QuantumAck`] closes the retransmit loop, so the
     /// fairness bound holds across every mid-stream retune.
     QuantumAnnounce {
@@ -132,7 +126,6 @@ pub enum Control {
 const TYPE_MARKER: u8 = 1;
 const TYPE_RESET_REQ: u8 = 2;
 const TYPE_RESET_ACK: u8 = 3;
-const TYPE_QUANTUM: u8 = 4;
 const TYPE_PROBE: u8 = 5;
 const TYPE_PROBE_ACK: u8 = 6;
 const TYPE_MEMBERSHIP: u8 = 7;
@@ -149,8 +142,8 @@ impl Control {
     /// Encode to wire bytes.
     ///
     /// # Panics
-    /// Panics if a `QuantumUpdate` carries more than 16 channels — the
-    /// wire format reserves 4 bits of count.
+    /// Panics if a `QuantumAnnounce` carries more than 16 channels, or a
+    /// `Membership` an empty mask.
     pub fn encode(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(self.wire_len());
         self.encode_into(&mut v);
@@ -177,18 +170,6 @@ impl Control {
             Control::ResetAck { epoch } => {
                 out.push(TYPE_RESET_ACK);
                 out.extend_from_slice(&epoch.to_be_bytes());
-            }
-            Control::QuantumUpdate {
-                effective_round,
-                quanta,
-            } => {
-                assert!(quanta.len() <= 16, "wire format caps at 16 channels");
-                out.push(TYPE_QUANTUM);
-                out.extend_from_slice(&effective_round.to_be_bytes());
-                out.push(quanta.len() as u8);
-                for q in quanta {
-                    out.extend_from_slice(&q.to_be_bytes());
-                }
             }
             Control::Probe { nonce } => {
                 out.push(TYPE_PROBE);
@@ -246,7 +227,6 @@ impl Control {
         match self {
             Control::Marker(_) => 1 + MARKER_WIRE_LEN,
             Control::ResetRequest { .. } | Control::ResetAck { .. } => 1 + 4,
-            Control::QuantumUpdate { quanta, .. } => 1 + 8 + 1 + quanta.len() * 8,
             Control::Probe { .. } | Control::DesyncAlert { .. } => 1 + 8,
             Control::ProbeAck { .. } => 1 + 8 + 8,
             Control::Membership { .. } => 1 + 4 + 2 + 8,
@@ -269,26 +249,6 @@ impl Control {
             TYPE_RESET_ACK => {
                 let epoch = u32::from_be_bytes(rest.get(..4)?.try_into().ok()?);
                 Some(Control::ResetAck { epoch })
-            }
-            TYPE_QUANTUM => {
-                let effective_round = u64::from_be_bytes(rest.get(..8)?.try_into().ok()?);
-                let n = *rest.get(8)? as usize;
-                if n > 16 {
-                    return None;
-                }
-                let mut quanta = Vec::with_capacity(n);
-                for i in 0..n {
-                    let off = 9 + i * 8;
-                    let q = i64::from_be_bytes(rest.get(off..off + 8)?.try_into().ok()?);
-                    if q <= 0 {
-                        return None; // a zero quantum would wedge the scan
-                    }
-                    quanta.push(q);
-                }
-                Some(Control::QuantumUpdate {
-                    effective_round,
-                    quanta,
-                })
             }
             TYPE_PROBE => {
                 let nonce = u64::from_be_bytes(rest.get(..8)?.try_into().ok()?);
@@ -356,35 +316,15 @@ mod tests {
     use super::*;
     use crate::sched::ChannelMark;
 
+    /// Every message kind, with boundary values, decodes back to itself
+    /// and `wire_len` matches the encoding.
     #[test]
-    fn marker_roundtrip() {
-        let c = Control::Marker(Marker::sync(2, ChannelMark { round: 77, dc: -3 }));
-        assert_eq!(Control::decode(&c.encode()), Some(c));
-    }
-
-    #[test]
-    fn reset_roundtrips() {
+    fn every_message_roundtrips_at_its_wire_len() {
         for c in [
+            Control::Marker(Marker::sync(2, ChannelMark { round: 77, dc: -3 })),
             Control::ResetRequest { epoch: 0 },
             Control::ResetRequest { epoch: u32::MAX },
             Control::ResetAck { epoch: 12345 },
-        ] {
-            assert_eq!(Control::decode(&c.encode()), Some(c));
-        }
-    }
-
-    #[test]
-    fn quantum_update_roundtrips() {
-        let c = Control::QuantumUpdate {
-            effective_round: 1 << 40,
-            quanta: vec![1500, 4500, 9000],
-        };
-        assert_eq!(Control::decode(&c.encode()), Some(c));
-    }
-
-    #[test]
-    fn quantum_announce_roundtrips() {
-        for c in [
             Control::QuantumAnnounce {
                 epoch: 0,
                 effective_round: 1 << 40,
@@ -396,7 +336,30 @@ mod tests {
                 quanta: vec![1; 16],
             },
             Control::QuantumAck { epoch: 12345 },
+            Control::Probe { nonce: 0 },
+            Control::Probe {
+                nonce: (3u64 << 48) | 7,
+            },
+            Control::ProbeAck {
+                nonce: u64::MAX,
+                incarnation: 0,
+            },
+            Control::ProbeAck {
+                nonce: 7,
+                incarnation: u64::MAX,
+            },
+            Control::Membership {
+                epoch: 9,
+                live_mask: 0b101,
+                effective_round: 1 << 33,
+            },
+            Control::MembershipAck { epoch: u32::MAX },
+            Control::DesyncAlert { incarnation: 0 },
+            Control::DesyncAlert {
+                incarnation: u64::MAX,
+            },
         ] {
+            assert_eq!(c.wire_len(), c.encode().len(), "{c:?}");
             assert_eq!(Control::decode(&c.encode()), Some(c));
         }
     }
@@ -496,53 +459,12 @@ mod tests {
         .encode();
     }
 
-    #[test]
-    fn wire_len_matches_encode() {
-        for c in [
-            Control::Marker(Marker::sync(2, ChannelMark { round: 77, dc: -3 })),
-            Control::ResetRequest { epoch: 1 },
-            Control::ResetAck { epoch: 2 },
-            Control::QuantumUpdate {
-                effective_round: 9,
-                quanta: vec![1500, 4500, 9000],
-            },
-            Control::QuantumUpdate {
-                effective_round: 9,
-                quanta: vec![1500; 16],
-            },
-            Control::Probe { nonce: 3 },
-            Control::ProbeAck {
-                nonce: 4,
-                incarnation: 5,
-            },
-            Control::DesyncAlert { incarnation: 6 },
-            Control::Membership {
-                epoch: 5,
-                live_mask: 0b11,
-                effective_round: 6,
-            },
-            Control::MembershipAck { epoch: 7 },
-            Control::QuantumAnnounce {
-                epoch: 8,
-                effective_round: 9,
-                quanta: vec![1500, 4500, 9000],
-            },
-            Control::QuantumAnnounce {
-                epoch: 8,
-                effective_round: 9,
-                quanta: vec![1500; 16],
-            },
-            Control::QuantumAck { epoch: 10 },
-        ] {
-            assert_eq!(c.wire_len(), c.encode().len(), "{c:?}");
-        }
-    }
-
     /// `encode_into` appends (it must compose into a framed buffer without
     /// clobbering the header) and produces exactly `encode`'s bytes.
     #[test]
     fn encode_into_appends_and_matches_encode() {
-        let c = Control::QuantumUpdate {
+        let c = Control::QuantumAnnounce {
+            epoch: 2,
             effective_round: 33,
             quanta: vec![1500, 9000],
         };
@@ -566,31 +488,24 @@ mod tests {
         assert_eq!(Control::decode(&[]), None);
         assert_eq!(Control::decode(&[99, 1, 2, 3]), None);
         assert_eq!(Control::decode(&[TYPE_RESET_REQ, 1]), None); // short
-                                                                 // Quantum update with a non-positive quantum is rejected.
-        let mut bad = Control::QuantumUpdate {
-            effective_round: 5,
-            quanta: vec![1500],
-        }
-        .encode();
-        let n = bad.len();
-        bad[n - 8..].copy_from_slice(&0i64.to_be_bytes());
-        assert_eq!(Control::decode(&bad), None);
     }
 
+    /// Type 4 (the retired epoch-less quantum update) is malformed now,
+    /// whatever its body.
     #[test]
-    fn truncated_quanta_rejected() {
-        let c = Control::QuantumUpdate {
-            effective_round: 5,
-            quanta: vec![1500, 3000],
-        };
-        let enc = c.encode();
-        assert_eq!(Control::decode(&enc[..enc.len() - 1]), None);
+    fn retired_type_4_is_malformed() {
+        let mut body = vec![4u8];
+        body.extend_from_slice(&5u64.to_be_bytes());
+        body.push(1);
+        body.extend_from_slice(&1500i64.to_be_bytes());
+        assert_eq!(Control::decode(&body), None);
     }
 
     #[test]
     #[should_panic(expected = "16 channels")]
     fn too_many_channels_panics_on_encode() {
-        let _ = Control::QuantumUpdate {
+        let _ = Control::QuantumAnnounce {
+            epoch: 0,
             effective_round: 0,
             quanta: vec![1; 17],
         }

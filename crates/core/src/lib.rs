@@ -81,13 +81,12 @@ pub mod baselines;
 pub mod control;
 pub mod fairness;
 pub mod fq;
+pub mod handshake;
 pub mod hybrid;
 pub mod liveness;
 pub mod marker;
-pub mod membership;
 pub mod receiver;
 pub mod reset;
-pub mod retune;
 pub mod sched;
 pub mod sender;
 pub mod seqno;

@@ -403,7 +403,7 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
 
     /// Apply a received quantum renegotiation: the simulation switches
     /// quanta at the same round the sender does (from a
-    /// [`Control::QuantumUpdate`](crate::control::Control::QuantumUpdate)).
+    /// [`Control::QuantumAnnounce`](crate::control::Control::QuantumAnnounce)).
     /// Safe to call as soon as the message arrives — the round gate inside
     /// the scheduler handles the timing.
     pub fn schedule_quanta(&mut self, effective_round: u64, quanta: &[i64]) {
@@ -619,31 +619,41 @@ mod tests {
         assert_eq!(rx.poll(), None);
     }
 
-    /// Quantum renegotiation mid-stream: both ends switch at the same
-    /// round and FIFO delivery holds throughout — no loss, no reorder.
+    /// Quantum renegotiation mid-stream, carried by the epoch'd retune
+    /// handshake: both ends switch at the same round and FIFO delivery
+    /// holds throughout — no loss, no reorder.
     #[test]
     fn fifo_across_quantum_renegotiation() {
+        use crate::control::Control;
+        use crate::handshake::{EpochHandshake, EpochResponder};
         let sched = Srr::weighted(&[1500, 1500]);
         let mut tx = StripingSender::new(sched.clone(), MarkerConfig::every_rounds(8));
         let mut rx = LogicalReceiver::new(sched, 4096);
+        let mut retune = EpochHandshake::<Vec<i64>>::new(2);
+        let mut responder = EpochResponder::<Vec<i64>>::new();
         let mut out = Vec::new();
         let mut announced = false;
         for id in 0..2000u64 {
             let len = 100 + (id as usize * 97) % 1300;
             // Partway in, channel 1's rate "triples": renegotiate.
+            // The epoch'd retune: the sender schedules the change locally
+            // and floods it; the first copy applies, the rest re-ack.
             if !announced && tx.scheduler().round() == 20 {
                 announced = true;
                 let round = tx.scheduler().round() + 4;
-                for (_, ctl) in tx.announce_quanta(round, &[1500, 4500]) {
-                    let crate::control::Control::QuantumUpdate {
-                        effective_round,
-                        quanta,
-                    } = ctl
-                    else {
-                        panic!("wrong control type")
-                    };
-                    rx.schedule_quanta(effective_round, &quanta);
+                retune
+                    .begin(vec![1500, 4500], &[true, true], round)
+                    .unwrap();
+                tx.schedule_quanta(round, retune.payload());
+                for (c, ctl) in retune.retransmit() {
+                    let apply = |eff, quanta: Vec<i64>| rx.schedule_quanta(eff, &quanta);
+                    if let Some((ch, Control::QuantumAck { epoch })) =
+                        responder.on_announce(c, &ctl, 2).reply(apply)
+                    {
+                        retune.on_ack(ch, epoch);
+                    }
                 }
+                assert!(!retune.in_progress(), "every live channel acked");
             }
             let d = tx.send(len);
             rx.push(d.channel, Arrival::Data(TestPacket::new(id, len)));

@@ -1,19 +1,14 @@
-//! Reset and self-stabilization — the §5 fault-model closure.
+//! Self-stabilization and endpoint identity — the §5 fault-model closure.
 //!
 //! Marker recovery (Theorem 5.1) assumes the only errors are detectable
 //! packet loss and corruption. The paper closes the remaining gap in two
 //! sentences: *"It is also possible to make the marker algorithm
 //! self-stabilizing (i.e., robust against any error in the state) by
 //! periodically running a snapshot and then doing a reset. We deal with
-//! sender or receiver node crashes by doing a reset."* This module builds
-//! both pieces:
+//! sender or receiver node crashes by doing a reset."* The reset itself
+//! is the epoch'd handshake with a [`Flush`](crate::handshake::Flush)
+//! payload (see [`crate::handshake`]); this module holds the two triggers:
 //!
-//! - [`ResetSender`] / [`ResetResponder`] — an epoch-stamped two-phase
-//!   reset: the sender pauses data, floods `ResetRequest(e)` on every
-//!   channel, the receiver flushes its buffers and reinitializes to `s0`
-//!   under epoch `e` and acknowledges on the reverse path; when an ack for
-//!   `e` has arrived from every channel the sender reinitializes and
-//!   resumes. Epochs make duplicate/stale control traffic harmless.
 //! - [`DesyncDetector`] — the "snapshot" reduced to what logical reception
 //!   actually needs: the receiver already computes every packet's implicit
 //!   number, so persistent disagreement shows up as persistent
@@ -21,203 +16,8 @@
 //!   deliveries and trips when the out-of-order fraction stays above a
 //!   threshold — arbitrary state corruption (not just loss) then leads to
 //!   a reset, which restores FIFO from *any* state: self-stabilization.
-
-use crate::control::{epoch_newer, Control, Epoch};
-use crate::types::ChannelId;
-
-/// Sender-side reset coordinator.
-///
-/// Drive it with [`start_reset`](Self::start_reset) (returns the requests
-/// to flood), feed [`on_ack`](Self::on_ack) as acks arrive; when it
-/// reports [`ResetProgress::Complete`], reinitialize the scheduler and
-/// resume data.
-#[derive(Debug, Clone)]
-pub struct ResetSender {
-    channels: usize,
-    epoch: Epoch,
-    /// Channels whose ack for the current epoch is still outstanding;
-    /// empty when no reset is in flight.
-    awaiting: Vec<bool>,
-    in_progress: bool,
-    resets_completed: u64,
-}
-
-/// Outcome of feeding an ack to the [`ResetSender`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResetProgress {
-    /// Still waiting on at least one channel.
-    Pending,
-    /// All channels acknowledged: reinitialize and resume.
-    Complete,
-    /// The ack was stale (old epoch) or no reset is in flight.
-    Ignored,
-}
-
-impl ResetSender {
-    /// A coordinator for `channels` channels, starting at epoch 0.
-    ///
-    /// # Panics
-    /// Panics if `channels == 0`.
-    pub fn new(channels: usize) -> Self {
-        assert!(channels > 0);
-        Self {
-            channels,
-            epoch: 0,
-            awaiting: vec![false; channels],
-            in_progress: false,
-            resets_completed: 0,
-        }
-    }
-
-    /// Begin a reset: bumps the epoch and returns the request to send on
-    /// *every* channel. Data transmission must pause until
-    /// [`ResetProgress::Complete`]. Calling this while a reset is already
-    /// in flight supersedes it (a newer epoch).
-    pub fn start_reset(&mut self) -> Vec<(ChannelId, Control)> {
-        self.start_reset_masked(&vec![true; self.channels])
-    }
-
-    /// Begin a reset awaiting acks only from the channels with
-    /// `live[c] == true` — the variant a failover driver uses when part of
-    /// the set is dead: flooding a dead channel is harmless but *waiting*
-    /// on it would wedge the handshake forever. With no live channel at
-    /// all, nothing is sent and the handshake does not start (the caller
-    /// is parked; a reset can only be driven once a channel returns).
-    ///
-    /// # Panics
-    /// Panics if `live` does not cover every channel.
-    pub fn start_reset_masked(&mut self, live: &[bool]) -> Vec<(ChannelId, Control)> {
-        assert_eq!(live.len(), self.channels, "mask must cover every channel");
-        if !live.iter().any(|&l| l) {
-            return Vec::new();
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        self.in_progress = true;
-        self.awaiting.copy_from_slice(live);
-        (0..self.channels)
-            .filter(|&c| live[c])
-            .map(|c| (c, Control::ResetRequest { epoch: self.epoch }))
-            .collect()
-    }
-
-    /// Requests to retransmit (e.g. on a timer) while a reset is pending —
-    /// request or ack loss must not wedge the handshake.
-    pub fn retransmit(&self) -> Vec<(ChannelId, Control)> {
-        if !self.in_progress {
-            return Vec::new();
-        }
-        (0..self.channels)
-            .filter(|&c| self.awaiting[c])
-            .map(|c| (c, Control::ResetRequest { epoch: self.epoch }))
-            .collect()
-    }
-
-    /// An ack arrived on `channel`.
-    pub fn on_ack(&mut self, channel: ChannelId, epoch: Epoch) -> ResetProgress {
-        if !self.in_progress || epoch != self.epoch || channel >= self.channels {
-            return ResetProgress::Ignored;
-        }
-        self.awaiting[channel] = false;
-        if self.awaiting.iter().any(|&a| a) {
-            ResetProgress::Pending
-        } else {
-            self.in_progress = false;
-            self.resets_completed += 1;
-            ResetProgress::Complete
-        }
-    }
-
-    /// Whether a reset handshake is in flight (data must pause).
-    pub fn in_progress(&self) -> bool {
-        self.in_progress
-    }
-
-    /// Current epoch.
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
-    }
-
-    /// Completed resets.
-    pub fn resets_completed(&self) -> u64 {
-        self.resets_completed
-    }
-}
-
-/// Receiver-side reset responder.
-#[derive(Debug, Clone)]
-pub struct ResetResponder {
-    epoch: Epoch,
-    flushes: u64,
-}
-
-/// What the responder wants done with an incoming request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResponderAction {
-    /// New epoch: flush all channel buffers, reinitialize the scheduler to
-    /// `s0`, then send the ack on the reverse path of `channel`.
-    FlushAndAck {
-        /// Channel the request arrived on (ack goes back its reverse).
-        channel: ChannelId,
-        /// The ack to send.
-        ack: Control,
-    },
-    /// Duplicate request for the current epoch: just re-ack (the first ack
-    /// may have been lost); no flush — state is already clean for this
-    /// epoch.
-    AckOnly {
-        /// Channel the request arrived on.
-        channel: ChannelId,
-        /// The ack to send.
-        ack: Control,
-    },
-    /// Stale epoch: ignore.
-    Ignore,
-}
-
-impl ResetResponder {
-    /// A responder starting at epoch 0 (matching a fresh [`ResetSender`]).
-    pub fn new() -> Self {
-        Self {
-            epoch: 0,
-            flushes: 0,
-        }
-    }
-
-    /// Handle a `ResetRequest` that arrived on `channel`.
-    pub fn on_request(&mut self, channel: ChannelId, epoch: Epoch) -> ResponderAction {
-        if epoch_newer(epoch, self.epoch) {
-            self.epoch = epoch;
-            self.flushes += 1;
-            ResponderAction::FlushAndAck {
-                channel,
-                ack: Control::ResetAck { epoch },
-            }
-        } else if epoch == self.epoch {
-            ResponderAction::AckOnly {
-                channel,
-                ack: Control::ResetAck { epoch },
-            }
-        } else {
-            ResponderAction::Ignore
-        }
-    }
-
-    /// Current epoch.
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
-    }
-
-    /// Number of flush-causing resets handled.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-}
-
-impl Default for ResetResponder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+//! - [`fresh_incarnation`] — the per-process nonce a peer compares across
+//!   probe acks to tell a restarted endpoint (a crash) from a quiet one.
 
 /// The self-stabilization trigger: a sliding-window health monitor.
 ///
@@ -376,38 +176,6 @@ pub fn fresh_incarnation() -> u64 {
 mod tests {
     use super::*;
 
-    /// The masked reset floods and awaits only live channels: an ack from
-    /// a dead channel is a no-op, and the handshake completes on the live
-    /// subset alone (waiting on a dead channel would wedge it forever).
-    #[test]
-    fn masked_reset_completes_on_live_subset() {
-        let mut tx = ResetSender::new(3);
-        let reqs = tx.start_reset_masked(&[true, false, true]);
-        assert_eq!(reqs.iter().map(|(c, _)| *c).collect::<Vec<_>>(), vec![0, 2]);
-        assert!(tx.in_progress());
-        let epoch = tx.epoch();
-        // Retransmits cover the same live subset.
-        assert_eq!(tx.retransmit().len(), 2);
-        assert_eq!(tx.on_ack(0, epoch), ResetProgress::Pending);
-        // The dead channel's id was never awaited; also out-of-range ids
-        // must not panic.
-        assert_eq!(tx.on_ack(1, epoch), ResetProgress::Pending);
-        assert_eq!(tx.on_ack(7, epoch), ResetProgress::Ignored);
-        assert_eq!(tx.on_ack(2, epoch), ResetProgress::Complete);
-        assert!(!tx.in_progress());
-        assert_eq!(tx.resets_completed(), 1);
-    }
-
-    /// With no live channel at all there is nothing to reset over: the
-    /// call is a no-op, not a wedged handshake.
-    #[test]
-    fn masked_reset_with_no_live_channels_is_a_noop() {
-        let mut tx = ResetSender::new(2);
-        assert!(tx.start_reset_masked(&[false, false]).is_empty());
-        assert!(!tx.in_progress());
-        assert_eq!(tx.epoch(), 0, "no epoch burned on an impossible reset");
-    }
-
     #[test]
     fn fresh_incarnations_are_nonzero_and_distinct() {
         let a = fresh_incarnation();
@@ -415,96 +183,6 @@ mod tests {
         assert_ne!(a, 0);
         assert_ne!(b, 0);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn handshake_completes_when_all_channels_ack() {
-        let mut tx = ResetSender::new(3);
-        let mut rx = ResetResponder::new();
-        let reqs = tx.start_reset();
-        assert_eq!(reqs.len(), 3);
-        assert!(tx.in_progress());
-        let mut outcomes = Vec::new();
-        for (c, msg) in reqs {
-            let Control::ResetRequest { epoch } = msg else {
-                panic!("wrong message type");
-            };
-            match rx.on_request(c, epoch) {
-                ResponderAction::FlushAndAck { channel, ack }
-                | ResponderAction::AckOnly { channel, ack } => {
-                    let Control::ResetAck { epoch } = ack else {
-                        panic!("wrong ack type");
-                    };
-                    outcomes.push(tx.on_ack(channel, epoch));
-                }
-                ResponderAction::Ignore => panic!("must not ignore a new epoch"),
-            }
-        }
-        assert_eq!(
-            outcomes,
-            vec![
-                ResetProgress::Pending,
-                ResetProgress::Pending,
-                ResetProgress::Complete
-            ]
-        );
-        assert!(!tx.in_progress());
-        assert_eq!(rx.flushes(), 1, "one flush per epoch, not per channel");
-    }
-
-    #[test]
-    fn lost_requests_are_retransmitted_and_acks_deduplicated() {
-        let mut tx = ResetSender::new(2);
-        let mut rx = ResetResponder::new();
-        let reqs = tx.start_reset();
-        // Request on channel 1 lost; only channel 0 acked.
-        let (c0, Control::ResetRequest { epoch }) = reqs[0].clone() else {
-            panic!()
-        };
-        let ResponderAction::FlushAndAck { .. } = rx.on_request(c0, epoch) else {
-            panic!()
-        };
-        assert_eq!(tx.on_ack(0, epoch), ResetProgress::Pending);
-        // Timer fires: retransmit only outstanding channels.
-        let retry = tx.retransmit();
-        assert_eq!(retry.len(), 1);
-        assert_eq!(retry[0].0, 1);
-        // Duplicate on channel 0 would only re-ack, no second flush.
-        assert!(matches!(
-            rx.on_request(0, epoch),
-            ResponderAction::AckOnly { .. }
-        ));
-        assert_eq!(rx.flushes(), 1);
-        // Channel 1 finally gets the request.
-        assert!(matches!(
-            rx.on_request(1, epoch),
-            ResponderAction::AckOnly { .. }
-        ));
-        assert_eq!(tx.on_ack(1, epoch), ResetProgress::Complete);
-    }
-
-    #[test]
-    fn stale_epoch_traffic_is_ignored() {
-        let mut tx = ResetSender::new(2);
-        let mut rx = ResetResponder::new();
-        let _first = tx.start_reset(); // epoch 1
-        let second = tx.start_reset(); // epoch 2 supersedes
-        let (_, Control::ResetRequest { epoch: e2 }) = second[0].clone() else {
-            panic!()
-        };
-        // An old epoch-1 ack arrives: ignored.
-        assert_eq!(tx.on_ack(0, 1), ResetProgress::Ignored);
-        // Receiver adopts epoch 2, then sees a late epoch-1 request.
-        rx.on_request(0, e2);
-        assert_eq!(rx.on_request(1, 1), ResponderAction::Ignore);
-        assert_eq!(rx.epoch(), 2);
-    }
-
-    #[test]
-    fn ack_without_reset_in_flight_is_ignored() {
-        let mut tx = ResetSender::new(2);
-        assert_eq!(tx.on_ack(0, 0), ResetProgress::Ignored);
-        assert_eq!(tx.retransmit(), Vec::new());
     }
 
     #[test]

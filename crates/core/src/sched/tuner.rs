@@ -18,7 +18,7 @@
 //! A deadband keeps estimator jitter from spamming retunes: a proposal
 //! within `deadband_ppm` of the quanta in force is suppressed. Each
 //! accepted proposal is then applied *live* through the epoch'd
-//! announce/ack protocol in [`crate::retune`] — sender and receiver
+//! announce/ack protocol in [`crate::handshake`] — sender and receiver
 //! switch at the same round, so the WRR deviation bound (Tabatabaee et
 //! al., arXiv:2202.08381 sharpens the classical one) holds across the
 //! change.

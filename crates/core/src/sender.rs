@@ -247,41 +247,10 @@ impl<S: CausalScheduler> StripingSender<S> {
         self.next_marker_at = self.first_marker_target();
     }
 
-    /// Renegotiate channel quanta (rates changed): schedules the change
-    /// locally for `effective_round` and returns the
-    /// [`Control::QuantumUpdate`](crate::control::Control::QuantumUpdate)
-    /// to transmit on every channel so the receiver switches at the same
-    /// round. `effective_round` must be far enough ahead for the messages
-    /// to arrive — a couple of marker periods is a safe margin.
-    ///
-    /// Note: markers emitted between now and the effective round predict
-    /// with the *old* quanta; if the change lands mid-prediction the next
-    /// marker batch repairs any residual skew, exactly like a loss.
-    pub fn announce_quanta(
-        &mut self,
-        effective_round: u64,
-        quanta: &[i64],
-    ) -> Vec<(ChannelId, crate::control::Control)> {
-        self.sched.schedule_quanta(effective_round, quanta);
-        (0..self.sched.channels())
-            .map(|c| {
-                (
-                    c,
-                    crate::control::Control::QuantumUpdate {
-                        effective_round,
-                        quanta: quanta.to_vec(),
-                    },
-                )
-            })
-            .collect()
-    }
-
     /// Schedule a quantum change on the local scheduler: from
     /// `effective_round` the scan credits channels with the new quanta.
     /// The receiver must apply the identical change at the same round —
-    /// see [`crate::retune`] for the epoch'd handshake that carries it.
-    /// Unlike [`announce_quanta`](Self::announce_quanta) this builds no
-    /// messages; the retune layer owns announcement and retransmission.
+    /// see [`crate::handshake`] for the epoch'd handshake that carries it.
     pub fn schedule_quanta(&mut self, effective_round: u64, quanta: &[i64]) {
         self.sched.schedule_quanta(effective_round, quanta);
     }
@@ -289,7 +258,7 @@ impl<S: CausalScheduler> StripingSender<S> {
     /// Schedule a membership change on the local scheduler: from
     /// `effective_round` the scan visits exactly the channels with
     /// `live[c] == true`. The receiver must apply the identical change
-    /// (see [`crate::membership`] for the handshake that carries it);
+    /// (see [`crate::handshake`] for the handshake that carries it);
     /// markers for departing channels stop as soon as the mask takes
     /// effect.
     pub fn schedule_mask(&mut self, effective_round: u64, live: &[bool]) {

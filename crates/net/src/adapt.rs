@@ -1,10 +1,10 @@
-//! Adaptive quantum control: estimators + tuner + the retune handshake,
-//! bundled for the reactor to drive.
+//! Adaptive quantum control: estimators + tuner, bundled for the
+//! reactor to drive.
 //!
 //! The pieces are all elsewhere — per-channel online estimators in
 //! [`crate::est`], the rate→quantum objective in
 //! [`stripe_core::sched::tuner`], the epoch'd announce/ack protocol in
-//! [`stripe_core::retune`] — and this module is the glue that makes
+//! [`stripe_core::handshake`] — and this module is the glue that makes
 //! them a control loop:
 //!
 //! 1. every reactor poll feeds each channel's cumulative
@@ -13,23 +13,19 @@
 //! 2. on a periodic estimation tick, rate estimates become shares
 //!    ([`rate_shares`](crate::est::rate_shares)), shares become a
 //!    quantum proposal ([`QuantumTuner::propose_into`]), and a proposal
-//!    that clears the deadband becomes an epoch'd
-//!    [`Control::QuantumAnnounce`](stripe_core::control::Control::QuantumAnnounce)
-//!    flooded over the live channels — while the same quanta are
-//!    scheduled on the local scheduler at the same effective round;
-//! 3. [`Control::QuantumAck`](stripe_core::control::Control::QuantumAck)s
-//!    collected off the reverse path retire the handshake; unacked
-//!    announcements retransmit on a timer.
+//!    that clears the deadband is handed to the failover driver, which
+//!    runs it as an epoch'd retune
+//!    ([`FailoverDriver::retune`](stripe_transport::FailoverDriver::retune))
+//!    alongside its membership and reset handshakes — one retransmit
+//!    clock, one precedence table;
+//! 3. a proposal the driver accepts becomes the quanta in force
+//!    ([`commit`](AdaptiveTuner::commit)); one it refuses (a reset is in
+//!    flight) is simply proposed again on a later tick.
 //!
-//! At most one retune is in flight at a time: a new proposal waits for
-//! the previous handshake to complete (or supersede it on the next
-//! tick), so sender and receiver never juggle two pending quanta
-//! schedules. The fairness bound holds across every retune because both
-//! ends apply the change at the same round boundary — see
-//! [`stripe_core::retune`] for the argument.
+//! At most one retune is in flight at a time: the reactor asks for a
+//! proposal only when the driver has none outstanding, so sender and
+//! receiver never juggle two pending quanta schedules.
 
-use stripe_core::control::{Control, Epoch};
-use stripe_core::retune::{RetuneProgress, RetuneSender};
 use stripe_core::sched::tuner::QuantumTuner;
 use stripe_core::types::ChannelId;
 use stripe_link::TxEvidence;
@@ -52,19 +48,15 @@ pub struct AdaptiveConfig {
     /// Relative deadband in parts-per-million: proposals within this
     /// of the quanta in force are suppressed (no retune churn).
     pub deadband_ppm: u64,
-    /// Estimation/retune cadence.
+    /// Estimation/retune cadence. The retune handshake's lead and
+    /// retransmit timing are the failover driver's
+    /// ([`FailoverConfig`](stripe_transport::FailoverConfig)).
     pub interval: SimDuration,
-    /// How many rounds ahead of the scan an announced change takes
-    /// effect — same role as the membership lead.
-    pub announce_lead_rounds: u64,
-    /// Retransmit an unacked announcement this often.
-    pub retransmit_interval: SimDuration,
 }
 
 impl AdaptiveConfig {
     /// A config derived from the estimation interval: 256..=16384 byte
-    /// quantum envelope, 10% deadband, announcements two rounds ahead,
-    /// retransmit every interval.
+    /// quantum envelope, 10% deadband.
     pub fn with_interval(interval: SimDuration) -> Self {
         Self {
             gain: crate::est::DEFAULT_GAIN,
@@ -72,8 +64,6 @@ impl AdaptiveConfig {
             max_quantum: 16 * 1024,
             deadband_ppm: 100_000,
             interval,
-            announce_lead_rounds: 2,
-            retransmit_interval: interval,
         }
     }
 }
@@ -86,51 +76,27 @@ pub struct AdaptiveSnapshot {
     pub tx_samples: u64,
     /// RTT samples absorbed across all channels.
     pub rtt_samples: u64,
-    /// Retune handshakes begun (announcements flooded).
-    pub retunes: u64,
-    /// Quantum acks absorbed.
-    pub retune_acks: u64,
-    /// Retune handshakes fully acked.
-    pub retunes_complete: u64,
-    /// Announcement retransmissions.
-    pub retransmits: u64,
     /// Proposals suppressed by the deadband (loop converged).
     pub suppressed: u64,
 }
 
-/// What the reactor should do after an adaptive tick.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AdaptiveStep {
-    /// Nothing due.
-    Idle,
-    /// A new retune: schedule `quanta` locally at the effective round
-    /// the reactor computes, then flood the announcement.
-    Announce,
-    /// The in-flight announcement wants retransmission.
-    Retransmit,
-}
-
 /// The adaptive control loop's state: one estimator per channel, the
-/// quantum tuner, and the sender half of the retune handshake. The
-/// reactor owns the wiring (see [`PathReactor::poll`]); this type owns
-/// the decisions.
+/// quantum tuner, and the quanta in force. The reactor owns the wiring
+/// (see [`PathReactor::poll`]); this type owns the decisions.
 ///
 /// [`PathReactor::poll`]: crate::reactor::PathReactor::poll
 #[derive(Debug)]
 pub struct AdaptiveTuner {
-    cfg: AdaptiveConfig,
     ests: Vec<ChannelEstimator>,
     tuner: QuantumTuner,
-    sender: RetuneSender,
-    /// Quanta in force (or being announced). Starts as the scheduler's
-    /// initial quanta so the deadband compares against reality.
+    /// Quanta in force. Starts as the scheduler's initial quanta so the
+    /// deadband compares against reality.
     quanta: Vec<i64>,
     /// Scratch: per-channel rate shares.
     shares: Vec<f64>,
     /// Scratch: the tuner's latest proposal.
     proposal: Vec<i64>,
     tick: Periodic,
-    last_retransmit: SimTime,
     stats: AdaptiveSnapshot,
 }
 
@@ -154,13 +120,10 @@ impl AdaptiveTuner {
                 .map(|_| ChannelEstimator::new(cfg.gain))
                 .collect(),
             tuner: QuantumTuner::new(cfg.min_quantum, cfg.max_quantum, cfg.deadband_ppm),
-            sender: RetuneSender::new(initial_quanta.len()),
             quanta: initial_quanta.to_vec(),
             shares: Vec::with_capacity(initial_quanta.len()),
             proposal: Vec::with_capacity(initial_quanta.len()),
             tick: Periodic::new(now, cfg.interval),
-            last_retransmit: now,
-            cfg,
             stats: AdaptiveSnapshot::default(),
         }
     }
@@ -184,41 +147,17 @@ impl AdaptiveTuner {
         self.stats.rtt_samples += self.ests[channel].rtt_samples() - before;
     }
 
-    /// A [`Control::QuantumAck`] arrived on `channel`.
-    ///
-    /// [`Control::QuantumAck`]: stripe_core::control::Control::QuantumAck
-    pub fn on_quantum_ack(&mut self, channel: ChannelId, epoch: Epoch) {
-        match self.sender.on_ack(channel, epoch) {
-            RetuneProgress::Pending => self.stats.retune_acks += 1,
-            RetuneProgress::Complete => {
-                self.stats.retune_acks += 1;
-                self.stats.retunes_complete += 1;
-            }
-            RetuneProgress::Ignored => {}
-        }
-    }
-
-    /// Decide what is due at `now`. Called once per reactor poll; the
-    /// reactor executes the returned step (it owns the path access the
-    /// execution needs).
-    pub fn step(&mut self, now: SimTime) -> AdaptiveStep {
-        if self.tick.fire(now) && !self.sender.in_progress() && self.propose() {
-            return AdaptiveStep::Announce;
-        }
-        if self.sender.in_progress()
-            && now
-                .as_nanos()
-                .saturating_sub(self.last_retransmit.as_nanos())
-                >= self.cfg.retransmit_interval.as_nanos()
-        {
-            return AdaptiveStep::Retransmit;
-        }
-        AdaptiveStep::Idle
+    /// Whether a retune is due at `now`: the estimation tick fired, no
+    /// retune is `in_flight`, and the tuner's proposal clears the
+    /// deadband. The proposal is then [`proposal`](Self::proposal) until
+    /// [`commit`](Self::commit)ted.
+    pub fn due(&mut self, now: SimTime, in_flight: bool) -> bool {
+        self.tick.fire(now) && !in_flight && self.propose()
     }
 
     /// Run the estimators through the tuner. True when a retune past
     /// the deadband is warranted (the proposal is parked in scratch for
-    /// [`begin_announce`](Self::begin_announce)).
+    /// [`commit`](Self::commit)).
     fn propose(&mut self) -> bool {
         // No retune until every channel has a live rate estimate: the
         // equal-share fallback would otherwise drag all quanta to the
@@ -244,44 +183,16 @@ impl AdaptiveTuner {
         }
     }
 
-    /// Commit the parked proposal: it becomes the quanta in force, a
-    /// new epoch begins, and the shared announcement is returned for
-    /// the reactor to flood over `live` channels (and schedule locally
-    /// at the same `effective_round`).
-    pub fn begin_announce(&mut self, effective_round: u64, live: &[bool], now: SimTime) -> Control {
-        self.quanta.clear();
-        self.quanta.extend_from_slice(&self.proposal);
-        self.sender
-            .begin_announce(&self.quanta, effective_round, live);
-        self.last_retransmit = now;
-        self.stats.retunes += 1;
-        self.sender
-            .current_announcement()
-            .expect("announcement just begun")
+    /// The latest proposal (meaningful after [`due`](Self::due) returned
+    /// true).
+    pub fn proposal(&self) -> &[i64] {
+        &self.proposal
     }
 
-    /// The in-flight announcement for retransmission, if any; stamps
-    /// the retransmit clock and counts it.
-    pub fn retransmission(&mut self, now: SimTime) -> Option<Control> {
-        let msg = self.sender.current_announcement()?;
-        self.last_retransmit = now;
-        self.stats.retransmits += 1;
-        Some(msg)
-    }
-
-    /// Channels still awaiting the current announcement's ack.
-    pub fn awaiting_channels(&self) -> impl Iterator<Item = ChannelId> + '_ {
-        self.sender.awaiting_channels()
-    }
-
-    /// Whether a retune handshake is in flight.
-    pub fn in_progress(&self) -> bool {
-        self.sender.in_progress()
-    }
-
-    /// How many rounds ahead of the scan announced changes take effect.
-    pub fn announce_lead_rounds(&self) -> u64 {
-        self.cfg.announce_lead_rounds
+    /// The driver accepted the proposal: it becomes the quanta in force,
+    /// the baseline the deadband measures the next proposal against.
+    pub fn commit(&mut self) {
+        self.quanta.clone_from(&self.proposal);
     }
 
     /// The quanta currently in force (or being announced).
@@ -292,11 +203,6 @@ impl AdaptiveTuner {
     /// The per-channel estimators (inspection).
     pub fn estimators(&self) -> &[ChannelEstimator] {
         &self.ests
-    }
-
-    /// The retune sender (epoch inspection).
-    pub fn retune_sender(&self) -> &RetuneSender {
-        &self.sender
     }
 
     /// Adaptive-loop counters.
@@ -321,11 +227,11 @@ mod tests {
         AdaptiveConfig::with_interval(SimDuration::from_millis(interval_ms))
     }
 
-    /// Feed a clean 4:2:1 rate split; the first due tick announces a
-    /// proportional retune, acks complete it, and the quanta in force
-    /// reflect the split.
+    /// Feed a clean 4:2:1 rate split; the first due tick proposes a
+    /// proportional retune, committing it makes it the quanta in force,
+    /// and the converged loop then suppresses.
     #[test]
-    fn converges_to_announced_retune() {
+    fn converges_to_proposed_retune() {
         let mut ad = AdaptiveTuner::new(&[1500, 1500, 1500], cfg_ms(10), SimTime::ZERO);
         // Two samples per channel prime every estimator: rates 4:2:1.
         for step in 0..2u64 {
@@ -334,27 +240,19 @@ mod tests {
             ad.on_tx_evidence(1, t, evidence(step * 200, step * 200_000));
             ad.on_tx_evidence(2, t, evidence(step * 100, step * 100_000));
         }
-        assert_eq!(ad.step(SimTime::from_millis(5)), AdaptiveStep::Idle);
-        assert_eq!(ad.step(SimTime::from_millis(10)), AdaptiveStep::Announce);
-        let msg = ad.begin_announce(7, &[true, true, true], SimTime::from_millis(10));
-        let Control::QuantumAnnounce { epoch, quanta, .. } = msg else {
-            panic!("not an announcement");
-        };
-        assert_eq!(epoch, 1);
+        assert!(!ad.due(SimTime::from_millis(5), false));
+        assert!(ad.due(SimTime::from_millis(10), false));
         // Proportional: slowest at the floor, others scaled 4:2:1.
-        assert_eq!(quanta[2], 256);
-        assert_eq!(quanta[1], 512);
-        assert_eq!(quanta[0], 1024);
-        assert!(ad.in_progress());
-        ad.on_quantum_ack(0, 1);
-        ad.on_quantum_ack(1, 1);
-        ad.on_quantum_ack(2, 1);
-        assert!(!ad.in_progress());
-        let s = ad.stats();
-        assert_eq!((s.retunes, s.retune_acks, s.retunes_complete), (1, 3, 1));
+        assert_eq!(ad.proposal(), &[1024, 512, 256]);
+        assert_eq!(
+            ad.quanta(),
+            &[1500, 1500, 1500],
+            "not in force until committed"
+        );
+        ad.commit();
         assert_eq!(ad.quanta(), &[1024, 512, 256]);
         // The loop has converged: the next tick suppresses.
-        assert_eq!(ad.step(SimTime::from_millis(20)), AdaptiveStep::Idle);
+        assert!(!ad.due(SimTime::from_millis(20), false));
         assert_eq!(ad.stats().suppressed, 1);
     }
 
@@ -366,33 +264,21 @@ mod tests {
         // Only channel 0 ever reports.
         ad.on_tx_evidence(0, 0, evidence(0, 0));
         ad.on_tx_evidence(0, 1_000_000_000, evidence(100, 100_000));
-        assert_eq!(ad.step(SimTime::from_millis(10)), AdaptiveStep::Idle);
-        assert_eq!(ad.stats().retunes, 0);
+        assert!(!ad.due(SimTime::from_millis(10), false));
         assert_eq!(ad.quanta(), &[1500, 1500]);
     }
 
-    /// An unacked announcement retransmits on its timer; a stale ack
-    /// does not retire it.
+    /// While a retune is in flight, ticks propose nothing: at most one
+    /// quanta schedule is ever pending.
     #[test]
-    fn unacked_announcement_retransmits() {
+    fn in_flight_retune_holds_fire() {
         let mut ad = AdaptiveTuner::new(&[1500, 1500], cfg_ms(10), SimTime::ZERO);
         for step in 0..2u64 {
             let t = step * 1_000_000_000;
             ad.on_tx_evidence(0, t, evidence(step * 400, step * 400_000));
             ad.on_tx_evidence(1, t, evidence(step * 100, step * 100_000));
         }
-        assert_eq!(ad.step(SimTime::from_millis(10)), AdaptiveStep::Announce);
-        ad.begin_announce(5, &[true, true], SimTime::from_millis(10));
-        ad.on_quantum_ack(0, 99); // stale epoch: ignored
-        assert!(ad.in_progress());
-        assert_eq!(ad.step(SimTime::from_millis(15)), AdaptiveStep::Idle);
-        assert_eq!(ad.step(SimTime::from_millis(20)), AdaptiveStep::Retransmit);
-        let msg = ad.retransmission(SimTime::from_millis(20)).unwrap();
-        assert!(matches!(msg, Control::QuantumAnnounce { epoch: 1, .. }));
-        assert_eq!(ad.awaiting_channels().collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(ad.stats().retransmits, 1);
-        // While in flight, ticks do not start a second handshake.
-        assert_eq!(ad.step(SimTime::from_millis(30)), AdaptiveStep::Retransmit);
-        assert_eq!(ad.stats().retunes, 1);
+        assert!(!ad.due(SimTime::from_millis(10), true));
+        assert!(ad.due(SimTime::from_millis(20), false));
     }
 }

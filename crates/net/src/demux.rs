@@ -4,7 +4,7 @@
 //! [`FlowDemux`] is the receive-side twin of
 //! [`StripeServer`](crate::server::StripeServer). It owns the N links
 //! and a slab of per-flow replicas — each an independent
-//! [`StripedSink`] whose scheduler is a fresh clone of the shared
+//! [`FlowSink`] whose scheduler is a fresh clone of the shared
 //! prototype, exactly as the sender clones its own prototype per flow.
 //! Flow lookup on the hot path is one slab index: O(1) per frame.
 //!
@@ -16,22 +16,23 @@
 //! bounded by [`max_flows`](FlowDemuxBuilder::max_flows); frames naming
 //! flows past the cap are counted `dropped_admission` and discarded.
 //!
-//! Global control (probes, membership, quantum updates) arrives as
-//! untagged version-1 frames and is handled once at the demux — applied
-//! to *every* replica — so the failover plane stays flow-agnostic:
-//! an epoch change is one announcement, not one per flow.
+//! Global control (probes and the epoch'd membership, retune, and reset
+//! handshakes) arrives as untagged version-1 frames and is handled once
+//! at the demux — applied to *every* replica — so the failover plane
+//! stays flow-agnostic: an epoch change is one announcement, not one per
+//! flow, and the replicas carry no handshake state of their own.
 //!
 //! Buffers cycle through one shared [`BufPool`] for all flows; data
 //! payloads travel as zero-copy [`PooledBuf`] views and come back via
 //! [`recycle`](FlowDemux::recycle). Steady state allocates nothing.
 
 use stripe_core::control::Control;
-use stripe_core::receiver::{Arrival, ReceiverSnapshot, RxBatch};
+use stripe_core::handshake::{EpochResponder, Flush};
+use stripe_core::receiver::{Arrival, LogicalReceiver, ReceiverSnapshot, RxBatch};
 use stripe_core::sched::CausalScheduler;
 use stripe_core::types::ChannelId;
 use stripe_link::DatagramLink;
 use stripe_netsim::SimTime;
-use stripe_transport::StripedSink;
 
 use crate::frame::{self, Frame};
 use crate::pool::{BufPool, PooledBuf};
@@ -198,9 +199,9 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemuxBuilder<S, L> {
             flow_pool: Vec::new(),
             last_mask: None,
             last_quanta: None,
-            membership: stripe_core::membership::MembershipResponder::new(),
-            retune: stripe_core::retune::RetuneResponder::new(),
-            reset_resp: stripe_core::reset::ResetResponder::new(),
+            membership: EpochResponder::new(),
+            retune: EpochResponder::new(),
+            reset_resp: EpochResponder::new(),
             incarnation: self
                 .incarnation
                 .unwrap_or_else(stripe_core::reset::fresh_incarnation),
@@ -216,10 +217,18 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemuxBuilder<S, L> {
     }
 }
 
-/// Per-flow replica: the resequencer behind its sink.
+/// One flow's replica: the resequencer a [`FlowDemux`] routes that
+/// flow's data and markers into.
 #[derive(Debug)]
-struct RxFlow<S: CausalScheduler> {
-    sink: StripedSink<S, PooledBuf>,
+pub struct FlowSink<S: CausalScheduler> {
+    rx: LogicalReceiver<S, PooledBuf>,
+}
+
+impl<S: CausalScheduler> FlowSink<S> {
+    /// The flow's resequencer.
+    pub fn receiver(&self) -> &LogicalReceiver<S, PooledBuf> {
+        &self.rx
+    }
 }
 
 /// Flow-aware physical reception over real sockets. See the module docs.
@@ -233,11 +242,11 @@ pub struct FlowDemux<S: CausalScheduler, L: DatagramLink> {
     stall_timeout_ns: Option<u64>,
     max_flows: usize,
     /// The flow slab: O(1) lookup by flow id, `None` in untouched slots.
-    flows: Vec<Option<RxFlow<S>>>,
+    flows: Vec<Option<FlowSink<S>>>,
     /// Closed flows' replicas, reset and reused by the next
     /// instantiation — the receive half of the sender's flow pool, so
     /// open/close churn cycles replicas without touching the allocator.
-    flow_pool: Vec<RxFlow<S>>,
+    flow_pool: Vec<FlowSink<S>>,
     /// Last applied membership mask, replayed onto replicas created
     /// after an epoch change (mirrors the sender's `open_flow` rule).
     last_mask: Option<Vec<bool>>,
@@ -245,13 +254,13 @@ pub struct FlowDemux<S: CausalScheduler, L: DatagramLink> {
     /// retune (mirrors the sender's `open_flow` rule).
     last_quanta: Option<Vec<i64>>,
     /// Demux-level membership responder: one epoch, all flows.
-    membership: stripe_core::membership::MembershipResponder,
+    membership: EpochResponder<Vec<bool>>,
     /// Demux-level retune responder: one epoch, all flows.
-    retune: stripe_core::retune::RetuneResponder,
+    retune: EpochResponder<Vec<i64>>,
     /// Demux-level §5 reset responder: one epoch, all flows. Survives
     /// the flush it gates (a retransmitted request must ack, not
     /// re-flush).
-    reset_resp: stripe_core::reset::ResetResponder,
+    reset_resp: EpochResponder<Flush>,
     /// Reported in every probe ack; a restart produces a fresh one.
     incarnation: u64,
     /// The armed self-stabilization monitor, if any.
@@ -289,31 +298,29 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
         }
         // Reuse a closed flow's replica when one is pooled (it was reset
         // at close, so it is indistinguishable from a fresh build).
-        let mut sink = match self.flow_pool.pop() {
-            Some(f) => f.sink,
+        let mut rx = match self.flow_pool.pop() {
+            Some(f) => f.rx,
             None => {
-                let mut builder = StripedSink::builder()
-                    .scheduler(self.proto.clone())
-                    .capacity_per_channel(self.cap_per_channel);
+                let mut rx = LogicalReceiver::new(self.proto.clone(), self.cap_per_channel);
                 if let Some(t) = self.stall_timeout_ns {
-                    builder = builder.stall_timeout_ns(t);
+                    rx.set_stall_timeout(t);
                 }
-                builder.build()
+                rx
             }
         };
         if let Some(mask) = &self.last_mask {
             // Same rule as the sender's open_flow: a flow born after an
             // epoch change schedules the current mask one round ahead of
             // its fresh scheduler, keeping both simulations in lockstep.
-            let eff = sink.receiver().scheduler().round() + 1;
-            sink.receiver_mut().apply_membership(eff, mask);
+            let eff = rx.scheduler().round() + 1;
+            rx.apply_membership(eff, mask);
         }
         if let Some(quanta) = &self.last_quanta {
             // Same replay rule for quanta after a live retune.
-            let eff = sink.receiver().scheduler().round() + 1;
-            sink.receiver_mut().schedule_quanta(eff, quanta);
+            let eff = rx.scheduler().round() + 1;
+            rx.schedule_quanta(eff, quanta);
         }
-        self.flows[idx] = Some(RxFlow { sink });
+        self.flows[idx] = Some(FlowSink { rx });
         self.stats.flows_active += 1;
         true
     }
@@ -362,7 +369,7 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
             .flows
             .iter()
             .flatten()
-            .map(|f| f.sink.receiver().buffered_total() as u64)
+            .map(|f| f.rx.buffered_total() as u64)
             .sum();
         self.desync_tick += 1;
         if det.observe(self.desync_tick, backlog) {
@@ -390,10 +397,10 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
                 }
                 self.stats.data_frames += 1;
                 let pb = PooledBuf::new(buf, offset, len);
-                let sink = &mut self.flows[flow as usize].as_mut().expect("ensured").sink;
+                let rx = &mut self.flows[flow as usize].as_mut().expect("ensured").rx;
                 // On overflow the resequencer drops the arrival (counted
                 // in that flow's snapshot); the buffer is freed with it.
-                let _ = sink.on_arrival(c, Arrival::Data(pb));
+                let _ = rx.push(c, Arrival::Data(pb));
             }
             Ok((flow, Frame::Control(Control::Marker(mk)))) => {
                 self.stats.control_frames += 1;
@@ -402,8 +409,8 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
                     self.stats.dropped_admission += 1;
                     return;
                 }
-                let sink = &mut self.flows[flow as usize].as_mut().expect("ensured").sink;
-                sink.on_arrival(c, Arrival::Marker(mk));
+                let rx = &mut self.flows[flow as usize].as_mut().expect("ensured").rx;
+                rx.push(c, Arrival::Marker(mk));
             }
             Ok((_, Frame::Control(ctl))) => {
                 self.stats.control_frames += 1;
@@ -424,114 +431,61 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
     }
 
     /// Handle an untagged control frame once, for every flow: probes are
-    /// acked, membership changes are applied to all replicas and
-    /// remembered for future ones, quantum updates fan out likewise.
+    /// acked, and each handshake's responder decides; an applied mask or
+    /// quanta vector reaches every replica and is remembered for future
+    /// ones, an applied flush resets them all.
     fn on_global_control(&mut self, c: ChannelId, ctl: &Control) {
-        match ctl {
-            Control::Probe { nonce } => {
-                self.reply(
-                    c,
-                    &Control::ProbeAck {
-                        nonce: *nonce,
-                        incarnation: self.incarnation,
-                    },
-                );
-            }
-            Control::ResetRequest { epoch } => {
-                use stripe_core::reset::ResponderAction;
-                match self.reset_resp.on_request(c, *epoch) {
-                    ResponderAction::FlushAndAck { channel, ack } => {
-                        // §5 flush: every replica restarts its simulation
-                        // and the epoch'd responders forget their state —
-                        // the sender is (or believes we are) starting
-                        // over, so remembered masks and quanta are stale.
-                        for f in self.flows.iter_mut().flatten() {
-                            f.sink.reset();
-                        }
-                        self.last_mask = None;
-                        self.last_quanta = None;
-                        self.membership = stripe_core::membership::MembershipResponder::new();
-                        self.retune = stripe_core::retune::RetuneResponder::new();
-                        if let Some(det) = self.desync.as_mut() {
-                            det.acknowledge_reset();
-                        }
-                        self.stats.resets += 1;
-                        self.reply(channel, &ack);
+        let n = self.links.len();
+        let reply = match ctl {
+            Control::Probe { nonce } => Some((
+                c,
+                Control::ProbeAck {
+                    nonce: *nonce,
+                    incarnation: self.incarnation,
+                },
+            )),
+            Control::Membership { .. } => {
+                self.membership.on_announce(c, ctl, n).reply(|eff, live| {
+                    for f in self.flows.iter_mut().flatten() {
+                        f.rx.apply_membership(eff, &live);
                     }
-                    ResponderAction::AckOnly { channel, ack } => self.reply(channel, &ack),
-                    ResponderAction::Ignore => {}
-                }
+                    self.last_mask = Some(live);
+                })
             }
-            Control::Membership {
-                epoch,
-                live_mask,
-                effective_round,
-            } => {
-                let n = self.links.len();
-                use stripe_core::membership::MembershipAction;
-                match self
-                    .membership
-                    .on_membership(c, *epoch, *live_mask, *effective_round, n)
-                {
-                    MembershipAction::Apply {
-                        channel,
-                        effective_round,
-                        live,
-                        ack,
-                    } => {
-                        for f in self.flows.iter_mut().flatten() {
-                            f.sink
-                                .receiver_mut()
-                                .apply_membership(effective_round, &live);
-                        }
-                        self.last_mask = Some(live);
-                        self.reply(channel, &ack);
+            Control::QuantumAnnounce { .. } => {
+                self.retune.on_announce(c, ctl, n).reply(|eff, quanta| {
+                    for f in self.flows.iter_mut().flatten() {
+                        f.rx.schedule_quanta(eff, &quanta);
                     }
-                    MembershipAction::AckOnly { channel, ack } => self.reply(channel, &ack),
-                    MembershipAction::Ignore => {}
-                }
+                    self.last_quanta = Some(quanta);
+                })
             }
-            Control::QuantumUpdate {
-                effective_round,
-                quanta,
-            } => {
-                for f in self.flows.iter_mut().flatten() {
-                    f.sink
-                        .receiver_mut()
-                        .schedule_quanta(*effective_round, quanta);
-                }
-            }
-            Control::QuantumAnnounce {
-                epoch,
-                effective_round,
-                quanta,
-            } => {
-                let n = self.links.len();
-                use stripe_core::retune::RetuneAction;
-                match self
-                    .retune
-                    .on_announce(c, *epoch, *effective_round, quanta, n)
-                {
-                    RetuneAction::Apply {
-                        channel,
-                        effective_round,
-                        quanta,
-                        ack,
-                    } => {
-                        for f in self.flows.iter_mut().flatten() {
-                            f.sink
-                                .receiver_mut()
-                                .schedule_quanta(effective_round, &quanta);
-                        }
-                        self.last_quanta = Some(quanta);
-                        self.reply(channel, &ack);
-                    }
-                    RetuneAction::AckOnly { channel, ack } => self.reply(channel, &ack),
-                    RetuneAction::Ignore => {}
-                }
-            }
-            _ => {}
+            Control::ResetRequest { .. } => self
+                .reset_resp
+                .on_announce(c, ctl, n)
+                .reply(|_, Flush| self.flush()),
+            _ => None,
+        };
+        if let Some((channel, ack)) = reply {
+            self.reply(channel, &ack);
         }
+    }
+
+    /// §5 flush: every replica restarts its simulation and the epoch'd
+    /// responders forget their state — the sender is (or believes we
+    /// are) starting over, so remembered masks and quanta are stale.
+    fn flush(&mut self) {
+        for f in self.flows.iter_mut().flatten() {
+            f.rx.reset();
+        }
+        self.last_mask = None;
+        self.last_quanta = None;
+        self.membership = EpochResponder::new();
+        self.retune = EpochResponder::new();
+        if let Some(det) = self.desync.as_mut() {
+            det.acknowledge_reset();
+        }
+        self.stats.resets += 1;
     }
 
     fn reply(&mut self, c: ChannelId, ctl: &Control) {
@@ -564,7 +518,7 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
     pub fn close_flow(&mut self, id: FlowId) -> bool {
         match self.flows.get_mut(id as usize).and_then(|f| f.take()) {
             Some(mut f) => {
-                f.sink.reset();
+                f.rx.reset();
                 self.flow_pool.push(f);
                 self.stats.flows_active -= 1;
                 true
@@ -577,7 +531,7 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
     /// Returns the number delivered; 0 for uninstantiated flows.
     pub fn poll_flow_into(&mut self, id: FlowId, out: &mut RxBatch<PooledBuf>) -> usize {
         match self.flows.get_mut(id as usize).and_then(|f| f.as_mut()) {
-            Some(f) => f.sink.poll_into(out),
+            Some(f) => f.rx.poll_into(out),
             None => {
                 out.clear();
                 0
@@ -590,7 +544,7 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
         self.flows
             .get_mut(id as usize)
             .and_then(|f| f.as_mut())?
-            .sink
+            .rx
             .poll()
     }
 
@@ -600,8 +554,8 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
         self.flows
             .get_mut(id as usize)
             .and_then(|f| f.as_mut())?
-            .sink
-            .stalled(now)
+            .rx
+            .stalled(now.as_nanos())
     }
 
     /// Return a consumed packet's storage to the shared receive pool.
@@ -614,7 +568,7 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
     /// uninstantiated flows.
     pub fn reserve_flow(&mut self, id: FlowId, per_channel: usize) {
         if let Some(f) = self.flows.get_mut(id as usize).and_then(|f| f.as_mut()) {
-            f.sink.receiver_mut().reserve(per_channel);
+            f.rx.reserve(per_channel);
         }
     }
 
@@ -623,23 +577,12 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
         self.flows
             .get(id as usize)
             .and_then(|f| f.as_ref())
-            .map(|f| f.sink.stats())
+            .map(|f| f.rx.stats())
     }
 
-    /// Flow `id`'s sink (resequencer + responders), if instantiated.
-    pub fn flow_sink(&self, id: FlowId) -> Option<&StripedSink<S, PooledBuf>> {
-        self.flows
-            .get(id as usize)
-            .and_then(|f| f.as_ref())
-            .map(|f| &f.sink)
-    }
-
-    /// Mutable access to flow `id`'s sink, if instantiated.
-    pub fn flow_sink_mut(&mut self, id: FlowId) -> Option<&mut StripedSink<S, PooledBuf>> {
-        self.flows
-            .get_mut(id as usize)
-            .and_then(|f| f.as_mut())
-            .map(|f| &mut f.sink)
+    /// Flow `id`'s replica, if instantiated.
+    pub fn flow_sink(&self, id: FlowId) -> Option<&FlowSink<S>> {
+        self.flows.get(id as usize).and_then(|f| f.as_ref())
     }
 
     /// One past the highest instantiated flow id (slab length) — the
@@ -870,6 +813,42 @@ mod tests {
         assert_eq!(seen, (0..20).collect::<Vec<_>>(), "reused id not FIFO");
     }
 
+    /// The retired type-4 control body (an epoch-less quantum update) is
+    /// malformed now: counted and dropped, never applied or answered.
+    #[test]
+    fn retired_quantum_update_is_counted_malformed_not_applied() {
+        let (mut srv, mut demux) = linked(4);
+        let f0 = srv.open_flow().unwrap();
+        srv.enqueue(f0, &[1; 100]).unwrap();
+        let mut events = Vec::new();
+        srv.pump_into(SimTime::ZERO, usize::MAX, &mut events);
+        demux.sweep(SimTime::ZERO); // replica 0 exists now
+        let mut legacy = vec![
+            frame::FRAME_MAGIC,
+            frame::FRAME_VERSION,
+            frame::KIND_CONTROL,
+        ];
+        legacy.extend_from_slice(&[4, 0, 0, 0, 0, 0, 0, 0, 0, 2]); // round 0, 2 quanta
+        for q in [4000i64, 1000] {
+            legacy.extend_from_slice(&q.to_be_bytes());
+        }
+        srv.links_mut()[0].send_frame(&legacy).unwrap();
+        // Twenty rounds of data after it: a scheduled change would apply.
+        for round in 0..20u64 {
+            srv.enqueue(f0, &[2; 900]).unwrap();
+            srv.pump_into(SimTime::from_millis(round), usize::MAX, &mut events);
+        }
+        demux.sweep(SimTime::ZERO);
+        let s = demux.net_stats();
+        assert_eq!((s.dropped_malformed, s.replies_sent), (1, 0));
+        assert_eq!(demux.malformed_by_channel(), &[1, 0]);
+        let mut batch = RxBatch::new();
+        assert_eq!(demux.poll_flow_into(f0.id(), &mut batch), 21);
+        let sched = demux.flow_sink(f0.id()).unwrap().receiver().scheduler();
+        assert!(sched.round() > 2);
+        assert_eq!((sched.quantum(0), sched.quantum(1)), (1500, 1500));
+    }
+
     /// A probe reaching the demux is acked on the reverse path exactly
     /// as the single-flow receiver does.
     #[test]
@@ -932,8 +911,8 @@ mod tests {
             payload[1..9].copy_from_slice(&round.to_be_bytes());
             srv.enqueue(f0, &payload).unwrap();
         }
-        // The sender flow's engine must flush too (the reactor does this
-        // via reset_flows); mirror it here.
+        // The sender flow's engine must flush too (the failover driver does this
+        // via `ControlPath::reset_engine`); mirror it here.
         srv.reset_flows();
         for round in 0..12u64 {
             let mut payload = vec![4u8; 120];

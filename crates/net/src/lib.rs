@@ -95,7 +95,7 @@ pub mod udp;
 pub use adapt::{AdaptiveConfig, AdaptiveSnapshot, AdaptiveTuner};
 pub use chaos::{ChaosPlan, ChaosSnapshot, ImpairedLink};
 pub use clock::WallClock;
-pub use demux::{FlowDemux, FlowDemuxBuilder, FlowDemuxSnapshot};
+pub use demux::{FlowDemux, FlowDemuxBuilder, FlowDemuxSnapshot, FlowSink};
 pub use est::{rate_shares, ChannelEstimator, Ewma};
 pub use fault::{DropLink, DropPolicy};
 pub use frame::{Frame, FRAME_HEADER_LEN, FRAME_MAGIC, FRAME_VERSION};

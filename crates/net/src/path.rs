@@ -302,13 +302,6 @@ impl<S: CausalScheduler, L: DatagramLink> NetStripedPath<S, L> {
         self.server.parked()
     }
 
-    /// Flush the sender engine after a completed §5 reset: scheduler,
-    /// fairness ledgers, and marker cadence restart from zero, matching
-    /// the receiver's flushed state.
-    pub fn reset_engine(&mut self) {
-        self.server.reset_flows();
-    }
-
     /// The underlying one-flow server.
     pub fn server(&self) -> &StripeServer<S, L> {
         &self.server
@@ -330,6 +323,10 @@ impl<S: CausalScheduler, L: DatagramLink> ControlPath for NetStripedPath<S, L> {
 
     fn schedule_quanta(&mut self, effective_round: u64, quanta: &[i64]) {
         ControlPath::schedule_quanta(&mut self.server, effective_round, quanta);
+    }
+
+    fn reset_engine(&mut self) {
+        self.server.reset_flows();
     }
 
     fn transmit_control(

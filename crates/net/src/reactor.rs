@@ -29,12 +29,11 @@ use std::marker::PhantomData;
 use stripe_core::control::Control;
 use stripe_core::liveness::ChannelHealth;
 use stripe_core::sched::CausalScheduler;
-use stripe_core::types::ChannelId;
 use stripe_link::DatagramLink;
 use stripe_netsim::{SimDuration, SimTime};
 use stripe_transport::{ControlPath, ControlTransmission, FailoverDriver};
 
-use crate::adapt::{AdaptiveStep, AdaptiveTuner};
+use crate::adapt::AdaptiveTuner;
 use crate::frame::{self, Frame};
 use crate::lifecycle::{ChannelLifecycle, LifecycleAction, LifecycleConfig, LifecycleState};
 use crate::path::NetStripedPath;
@@ -57,11 +56,6 @@ pub trait ReactorPath<L: DatagramLink>: ControlPath {
     fn reactor_links_mut(&mut self) -> &mut [L];
     /// Retry parked frames toward the kernel; returns frames drained.
     fn flush_backlog(&mut self) -> usize;
-    /// Flush every flow's sender-side engine state — schedulers,
-    /// accountants, marker cadence, queued-but-unsent packets — after a
-    /// completed §5 reset. The receiver flushed its half when it acked;
-    /// both ends restart the simulation from the same zero.
-    fn reset_flows(&mut self);
 }
 
 impl<S: CausalScheduler, L: DatagramLink> ReactorPath<L> for NetStripedPath<S, L> {
@@ -74,9 +68,6 @@ impl<S: CausalScheduler, L: DatagramLink> ReactorPath<L> for NetStripedPath<S, L
     fn flush_backlog(&mut self) -> usize {
         self.flush()
     }
-    fn reset_flows(&mut self) {
-        self.reset_engine();
-    }
 }
 
 impl<S: CausalScheduler, L: DatagramLink> ReactorPath<L> for StripeServer<S, L> {
@@ -88,9 +79,6 @@ impl<S: CausalScheduler, L: DatagramLink> ReactorPath<L> for StripeServer<S, L> 
     }
     fn flush_backlog(&mut self) -> usize {
         self.flush()
-    }
-    fn reset_flows(&mut self) {
-        self.reset_flows();
     }
 }
 
@@ -160,7 +148,7 @@ pub struct ReactorSnapshot {
     pub rejoins: u64,
     /// Adaptive retune announcements flooded (see [`AdaptiveTuner`]).
     pub retunes: u64,
-    /// Quantum acks fed back into the adaptive handshake.
+    /// Quantum acks that advanced the retune handshake.
     pub retune_acks: u64,
     /// Retune handshakes fully acked.
     pub retunes_complete: u64,
@@ -268,9 +256,10 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
 
     /// Attach the adaptive quantum control loop: from the next poll on,
     /// every channel's transmit evidence and probe round trips feed its
-    /// estimators, and estimation ticks may flood epoch'd retunes (see
-    /// [`crate::adapt`]). The tuner's initial quanta must match the
-    /// scheduler's, or the deadband measures against the wrong baseline.
+    /// estimators, and estimation ticks may hand retunes to the failover
+    /// driver (see [`crate::adapt`]; without a driver nothing carries
+    /// them). The tuner's initial quanta must match the scheduler's, or
+    /// the deadband measures against the wrong baseline.
     pub fn attach_adaptive(&mut self, tuner: AdaptiveTuner) {
         assert_eq!(
             tuner.quanta().len(),
@@ -341,23 +330,10 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
                     if let Control::DesyncAlert { .. } = ctl {
                         self.stats.desync_alerts += 1;
                     }
-                    if let Some(ad) = self.adaptive.as_mut() {
-                        match &ctl {
-                            Control::ProbeAck { nonce, .. } => {
-                                ad.on_probe_ack(c, *nonce, now.as_nanos());
-                            }
-                            Control::QuantumAck { epoch } => {
-                                // The failover driver ignores quantum
-                                // acks; the adaptive handshake owns them.
-                                let before = ad.stats();
-                                ad.on_quantum_ack(c, *epoch);
-                                let after = ad.stats();
-                                self.stats.retune_acks += after.retune_acks - before.retune_acks;
-                                self.stats.retunes_complete +=
-                                    after.retunes_complete - before.retunes_complete;
-                            }
-                            _ => {}
-                        }
+                    if let (Some(ad), Control::ProbeAck { nonce, .. }) =
+                        (self.adaptive.as_mut(), &ctl)
+                    {
+                        ad.on_probe_ack(c, *nonce, now.as_nanos());
                     }
                     if let Some(driver) = self.driver.as_mut() {
                         reports.extend(driver.on_control(&mut self.path, c, &ctl, now));
@@ -385,17 +361,12 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
             }
         }
         if let Some(driver) = self.driver.as_mut() {
-            // A completed §5 reset: the receiver has flushed and acked,
-            // so flush the sender-side engines and re-announce to
-            // unpark — both ends restart the simulation from zero.
-            if driver.take_pending_engine_reset() {
-                self.path.reset_flows();
-                reports.extend(driver.reannounce(&mut self.path, now));
-            }
             let (parked, blackout) = (driver.parked(), driver.blackout());
             self.stats.restarts_detected = driver.restarts_detected();
             self.stats.resets_started = driver.resets_started();
             self.stats.resets_completed = driver.resets_completed();
+            self.stats.retune_acks = driver.retune_acks();
+            self.stats.retunes_complete = driver.retune_state().completed();
             self.observe_park(parked, blackout, now);
         }
         self.step_adaptive(now, &mut reports);
@@ -421,13 +392,13 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
     }
 
     /// Drive the adaptive quantum loop one step: record probes the
-    /// driver just sent (their acks become RTT samples), and execute a
-    /// due announce or retransmission. A retune is announced exactly
-    /// like a membership change — scheduled on the local path at an
-    /// effective round a little ahead of the scan, then flooded over
-    /// the live channels and retransmitted until every ack is in.
+    /// driver just sent (their acks become RTT samples), and hand a due
+    /// proposal to the driver, which runs it as an epoch'd retune beside
+    /// its membership and reset handshakes. A refused proposal (a reset
+    /// in flight, or total blackout) is not committed; a later tick
+    /// proposes again.
     fn step_adaptive(&mut self, now: SimTime, reports: &mut Vec<ControlTransmission>) {
-        let Some(ad) = self.adaptive.as_mut() else {
+        let (Some(ad), Some(driver)) = (self.adaptive.as_mut(), self.driver.as_mut()) else {
             return;
         };
         for r in reports.iter() {
@@ -437,38 +408,13 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
                 }
             }
         }
-        match ad.step(now) {
-            AdaptiveStep::Idle => {}
-            AdaptiveStep::Announce => {
-                let live = match self.driver.as_ref() {
-                    Some(d) => d.liveness().live_mask(),
-                    None => vec![true; self.path.reactor_links().len()],
-                };
-                if !live.iter().any(|&l| l) {
-                    return; // total outage: nothing can carry the retune
-                }
-                let eff = self.path.current_round() + ad.announce_lead_rounds();
-                let msg = ad.begin_announce(eff, &live, now);
-                let Control::QuantumAnnounce { ref quanta, .. } = msg else {
-                    unreachable!("begin_announce builds a QuantumAnnounce");
-                };
-                self.path.schedule_quanta(eff, quanta);
-                self.stats.retunes += 1;
-                for (c, &is_live) in live.iter().enumerate() {
-                    if is_live {
-                        reports.push(self.path.transmit_control_ref(now, c, &msg));
-                    }
-                }
-            }
-            AdaptiveStep::Retransmit => {
-                let Some(msg) = ad.retransmission(now) else {
-                    return;
-                };
-                let awaiting: Vec<ChannelId> = ad.awaiting_channels().collect();
-                for c in awaiting {
-                    reports.push(self.path.transmit_control_ref(now, c, &msg));
-                }
-            }
+        if !ad.due(now, driver.retune_state().in_progress()) {
+            return;
+        }
+        if let Some(sent) = driver.retune(&mut self.path, ad.proposal(), now) {
+            ad.commit();
+            self.stats.retunes += 1;
+            reports.extend(sent);
         }
     }
 
@@ -902,104 +848,6 @@ mod tests {
         assert_eq!(snap.rejoins, 1);
         assert!(snap.rebind_attempts >= 1, "revive went through the link");
         assert!(grow_announced, "the grow rode the wire as a Membership");
-    }
-
-    /// The full adaptive arc over shaped in-memory links: token buckets
-    /// cap the three channels 4:2:1, the estimators learn the split from
-    /// transmit evidence, the tuner floods an epoch'd retune, the
-    /// receiver acks and applies it — and delivery stays quasi-FIFO
-    /// across the switch.
-    #[test]
-    fn adaptive_retune_round_trip_over_shaped_links() {
-        use crate::adapt::{AdaptiveConfig, AdaptiveTuner};
-        use crate::chaos::{ChaosPlan, ImpairedLink};
-
-        let rates = [4000u64, 2000, 1000];
-        let mut fwd = Vec::new();
-        let mut rev = Vec::new();
-        for (i, &r) in rates.iter().enumerate() {
-            let (a, b) = datagram_pair(2048, 1 << 12);
-            let plan = ChaosPlan::default().shape(r, 2 * r);
-            fwd.push(ImpairedLink::new(a, plan, 0xAD0 + i as u64));
-            rev.push(b);
-        }
-        let path = NetStripedPath::builder()
-            .scheduler(Srr::equal(3, 1500))
-            .markers(stripe_core::sender::MarkerConfig::every_rounds(4))
-            .links(fwd)
-            .build();
-        let mut reactor = PathReactor::new(path, None, SimTime::ZERO, SimDuration::from_millis(1));
-        let cfg = AdaptiveConfig::with_interval(SimDuration::from_millis(5));
-        reactor.attach_adaptive(AdaptiveTuner::new(&[1500, 1500, 1500], cfg, SimTime::ZERO));
-        let mut rx = NetLogicalReceiver::builder()
-            .scheduler(Srr::equal(3, 1500))
-            .links(rev)
-            .build();
-
-        let mut out = stripe_transport::TxBatch::new();
-        let mut batch = stripe_core::receiver::RxBatch::new();
-        let mut seq = 0u64;
-        let mut delivered = Vec::new();
-        for ms in 1..=120u64 {
-            let now = SimTime::from_millis(ms);
-            // Saturating offered load: well past aggregate capacity, so
-            // every channel's policer binds and carried load IS capacity.
-            let mut pkts: Vec<bytes::Bytes> = (0..48)
-                .map(|_| {
-                    let mut p = vec![0u8; 500];
-                    p[..8].copy_from_slice(&seq.to_be_bytes());
-                    seq += 1;
-                    bytes::Bytes::from(p)
-                })
-                .collect();
-            reactor.path_mut().send_batch(now, &mut pkts, &mut out);
-            reactor.poll(now);
-            rx.sweep(now);
-            rx.poll_into(&mut batch);
-            for pb in batch.drain() {
-                delivered.push(u64::from_be_bytes(pb.as_slice()[..8].try_into().unwrap()));
-                rx.recycle(pb);
-            }
-        }
-
-        let stats = reactor.stats();
-        assert!(stats.retunes >= 1, "a retune must have been announced");
-        assert!(
-            stats.retunes_complete >= 1,
-            "the receiver must have acked the retune (acks {} complete {})",
-            stats.retune_acks,
-            stats.retunes_complete
-        );
-        let ad = reactor.adaptive().expect("attached");
-        let q = ad.quanta();
-        assert!(
-            q[0] > q[1] && q[1] > q[2],
-            "tuned quanta {q:?} must order by capacity"
-        );
-        let ratio = q[0] as f64 / q[2] as f64;
-        assert!(
-            (2.5..=6.0).contains(&ratio),
-            "4:1 capacity split tuned to ratio {ratio} ({q:?})"
-        );
-        // Quasi-FIFO held across the retune: every id delivered at most
-        // once, and any loss-induced backward step stays within a couple
-        // of marker intervals of the head — the receiver re-synchronized
-        // on markers across the quantum switch instead of drifting.
-        assert!(!delivered.is_empty());
-        let mut uniq = delivered.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), delivered.len(), "duplicate deliveries");
-        let max_backjump = delivered
-            .windows(2)
-            .filter(|w| w[1] < w[0])
-            .map(|w| w[0] - w[1])
-            .max()
-            .unwrap_or(0);
-        assert!(
-            max_backjump <= 128,
-            "displacement {max_backjump} exceeds a marker-interval bound"
-        );
     }
 
     /// Flush drains frames parked behind kernel/queue backpressure.

@@ -26,9 +26,8 @@ use stripe_core::sched::CausalScheduler;
 use stripe_core::types::ChannelId;
 use stripe_link::DatagramLink;
 use stripe_netsim::SimTime;
-use stripe_transport::StripedSink;
 
-use crate::demux::FlowDemux;
+use crate::demux::{FlowDemux, FlowSink};
 use crate::pool::{BufPool, PooledBuf};
 
 /// Receive-side network counters, complementing the resequencer's own
@@ -250,14 +249,9 @@ impl<S: CausalScheduler, L: DatagramLink> NetLogicalReceiver<S, L> {
         self.demux.flow_stats(0).expect("flow 0 always exists")
     }
 
-    /// The wrapped sink (resequencer + responders) — flow 0's.
-    pub fn sink(&self) -> &StripedSink<S, PooledBuf> {
+    /// The wrapped resequencer — flow 0's replica.
+    pub fn sink(&self) -> &FlowSink<S> {
         self.demux.flow_sink(0).expect("flow 0 always exists")
-    }
-
-    /// Mutable access to the wrapped sink.
-    pub fn sink_mut(&mut self) -> &mut StripedSink<S, PooledBuf> {
-        self.demux.flow_sink_mut(0).expect("flow 0 always exists")
     }
 
     /// The member links.

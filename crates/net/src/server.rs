@@ -879,7 +879,7 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
     /// from zero, and pre-reset queued frames are discarded (the
     /// receiver flushed its replicas when it acked — old-epoch state
     /// must not leak into the new one). Flow handles stay valid; the
-    /// post-reset re-announce re-teaches the current mask.
+    /// post-reset re-announce re-teaches the current mask and quanta.
     pub fn reset_flows(&mut self) {
         for f in self.flows.iter_mut().flatten() {
             f.tx.reset();
@@ -957,6 +957,10 @@ impl<S: CausalScheduler, L: DatagramLink> ControlPath for StripeServer<S, L> {
         for f in self.flows.iter_mut().flatten() {
             f.tx.schedule_quanta(effective_round, quanta);
         }
+    }
+
+    fn reset_engine(&mut self) {
+        self.reset_flows();
     }
 
     fn transmit_control(

@@ -7,10 +7,13 @@
 //! `NetStripedPath` from `stripe-net` — and owns the two control-plane
 //! state machines:
 //! the [`LivenessTracker`] (per-channel keepalives with exponential
-//! backoff) and the [`MembershipSender`] (the epoch'd shrink/grow
-//! handshake). [`StripedSink`] is its receiver-side counterpart: it feeds
-//! arrivals into the [`LogicalReceiver`], answers probes, and applies
-//! membership announcements through the [`MembershipResponder`].
+//! backoff) and the sender halves of all three epoch'd handshakes —
+//! membership, live retune, and the §5 reset — each an
+//! [`EpochHandshake`], retransmitted by one loop on one clock and
+//! arbitrated by the precedence table in [`stripe_core::handshake`].
+//! [`StripedSink`] is its receiver-side counterpart: it feeds arrivals
+//! into the [`LogicalReceiver`], answers probes, and applies every
+//! announcement through an [`EpochResponder`].
 //!
 //! The failure lifecycle, end to end:
 //!
@@ -32,13 +35,11 @@
 //!    ends.
 
 use stripe_core::control::Control;
-use stripe_core::liveness::{LivenessConfig, LivenessEvent, LivenessTracker};
-use stripe_core::membership::{
-    MembershipAction, MembershipError, MembershipResponder, MembershipSender,
+use stripe_core::handshake::{
+    EpochHandshake, EpochResponder, Flush, HandshakeProgress, MembershipError, Payload,
 };
+use stripe_core::liveness::{LivenessConfig, LivenessEvent, LivenessTracker};
 use stripe_core::receiver::{Arrival, LogicalReceiver, ReceiverSnapshot, RxBatch};
-use stripe_core::reset::{ResetProgress, ResetResponder, ResetSender, ResponderAction};
-use stripe_core::retune::{RetuneAction, RetuneResponder};
 use stripe_core::sched::CausalScheduler;
 use stripe_core::types::{ChannelId, WireLen};
 use stripe_netsim::SimTime;
@@ -50,12 +51,12 @@ use crate::stripe_conn::{ControlPath, ControlTransmission};
 pub struct FailoverConfig {
     /// Keepalive timing (probe interval, dead deadline, backoff cap).
     pub liveness: LivenessConfig,
-    /// How many rounds ahead of the current scan a membership change takes
-    /// effect — enough for the announcement to cross the path. Too small
-    /// and the receiver applies it late (markers repair the skew); too
-    /// large and degradation is needlessly delayed.
+    /// How many rounds ahead of the current scan a membership change or
+    /// retune takes effect — enough for the announcement to cross the
+    /// path. Too small and the receiver applies it late (markers repair
+    /// the skew); too large and degradation is needlessly delayed.
     pub announce_lead_rounds: u64,
-    /// Retransmit an unacked membership announcement this often.
+    /// Retransmit every unacked handshake announcement this often.
     pub retransmit_interval_ns: u64,
 }
 
@@ -79,11 +80,12 @@ impl FailoverConfig {
 #[derive(Debug)]
 pub struct FailoverDriver {
     live: LivenessTracker,
-    membership: MembershipSender,
-    reset: ResetSender,
+    membership: EpochHandshake<Vec<bool>>,
+    retune: EpochHandshake<Vec<i64>>,
+    reset: EpochHandshake<Flush>,
     cfg: FailoverConfig,
+    /// The one retransmit clock shared by every in-flight handshake.
     last_retransmit_ns: u64,
-    last_reset_retransmit_ns: u64,
     /// Every channel is dead: the path is parked. Legal, not fatal —
     /// flows see backpressure, probes keep flowing, the first ack
     /// regrows the set.
@@ -91,16 +93,27 @@ pub struct FailoverDriver {
     /// The receiver's incarnation as last reported in a probe ack.
     /// `None` until the first ack arrives.
     peer_incarnation: Option<u64>,
-    /// A completed §5 reset is waiting for the datapath to flush its
-    /// per-flow engine state; drained by [`take_pending_engine_reset`].
-    ///
-    /// [`take_pending_engine_reset`]: FailoverDriver::take_pending_engine_reset
-    pending_engine_reset: bool,
     restarts_detected: u64,
     resets_started: u64,
     desync_resets: u64,
+    retune_acks: u64,
     membership_errors: u64,
     last_membership_error: Option<MembershipError>,
+}
+
+/// Send `hs`'s in-flight announcement to every channel still awaiting its
+/// ack: one shared message, built once, borrowed into every transmit.
+fn flood<P: Payload, C: ControlPath>(
+    hs: &EpochHandshake<P>,
+    path: &mut C,
+    now: SimTime,
+    out: &mut Vec<ControlTransmission>,
+) {
+    if let Some(msg) = hs.message() {
+        for c in hs.awaiting_channels() {
+            out.push(path.transmit_control_ref(now, c, &msg));
+        }
+    }
 }
 
 impl FailoverDriver {
@@ -108,17 +121,17 @@ impl FailoverDriver {
     pub fn new(channels: usize, cfg: FailoverConfig, now: SimTime) -> Self {
         Self {
             live: LivenessTracker::new(channels, cfg.liveness, now.as_nanos()),
-            membership: MembershipSender::new(channels),
-            reset: ResetSender::new(channels),
+            membership: EpochHandshake::new(channels),
+            retune: EpochHandshake::new(channels),
+            reset: EpochHandshake::new(channels),
             cfg,
             last_retransmit_ns: now.as_nanos(),
-            last_reset_retransmit_ns: now.as_nanos(),
             blackout: false,
             peer_incarnation: None,
-            pending_engine_reset: false,
             restarts_detected: 0,
             resets_started: 0,
             desync_resets: 0,
+            retune_acks: 0,
             membership_errors: 0,
             last_membership_error: None,
         }
@@ -138,8 +151,16 @@ impl FailoverDriver {
         now: SimTime,
     ) -> Vec<ControlTransmission> {
         let mask = self.live.live_mask();
+        self.blackout = !mask.iter().any(|&l| l);
+        if self.reset.in_progress() {
+            // Precedence: a reset defers mask changes to its resume step,
+            // which re-announces whatever the tracker then holds. The
+            // datapath stays parked until the acks land.
+            self.park_path(path);
+            return Vec::new();
+        }
         let eff = path.current_round() + self.cfg.announce_lead_rounds;
-        if let Err(e) = self.membership.begin_announce(&mask, eff) {
+        if let Err(e) = self.membership.begin(mask.clone(), &mask, eff) {
             // Cannot happen for masks derived from our own tracker, but
             // a typed error beats a panic on the datapath: record it and
             // keep the last good membership.
@@ -147,7 +168,6 @@ impl FailoverDriver {
             self.last_membership_error = Some(e);
             return Vec::new();
         }
-        self.blackout = !mask.iter().any(|&l| l);
         if self.blackout {
             // Total outage: park. The epoch bump above keeps the
             // membership history monotone; nothing travels because no
@@ -156,46 +176,66 @@ impl FailoverDriver {
             self.park_path(path);
             return Vec::new();
         }
-        if self.reset.in_progress() {
-            // A §5 reset gates data resume: announce the new membership
-            // (the receiver needs it) but keep the datapath parked until
-            // the reset acks land and the engines are flushed.
-            self.park_path(path);
-        } else {
-            path.schedule_mask(eff, &mask);
-        }
+        path.schedule_mask(eff, &mask);
         self.last_retransmit_ns = now.as_nanos();
-        // One shared announcement, borrowed into every channel's transmit:
-        // the frame is built once, never re-materialized per channel.
-        let msg = self.membership.current_announcement().expect("just begun");
         let mut out = Vec::new();
-        for c in self.membership.awaiting_channels() {
-            out.push(path.transmit_control_ref(now, c, &msg));
-        }
+        flood(&self.membership, path, now, &mut out);
         out
     }
 
     /// Start (or supersede) a §5 two-phase reset: flood `ResetRequest`
     /// on every live channel and park the datapath until the acks land.
-    /// During a blackout there is nothing to flood — the park already
-    /// holds and the reset is deferred to the restart detection that
-    /// fires when the first ack returns.
+    /// The reset supersedes any in-flight membership or retune handshake
+    /// (the resume step re-announces both). During a blackout there is
+    /// nothing to flood — the park already holds and the reset is
+    /// deferred to the restart detection that fires when the first ack
+    /// returns.
     pub fn begin_reset<P: ControlPath>(
         &mut self,
         path: &mut P,
         now: SimTime,
     ) -> Vec<ControlTransmission> {
         let mask = self.live.live_mask();
-        let reqs = self.reset.start_reset_masked(&mask);
-        if reqs.is_empty() {
+        if !mask.iter().any(|&l| l) {
             return Vec::new();
         }
+        self.membership.abandon();
+        self.retune.abandon();
+        self.reset
+            .begin(Flush, &mask, 0)
+            .expect("tracker mask covers every channel");
         self.resets_started += 1;
-        self.last_reset_retransmit_ns = now.as_nanos();
+        self.last_retransmit_ns = now.as_nanos();
         self.park_path(path);
-        reqs.into_iter()
-            .map(|(c, ctl)| path.transmit_control(now, c, ctl))
-            .collect()
+        let mut out = Vec::new();
+        flood(&self.reset, path, now, &mut out);
+        out
+    }
+
+    /// Begin a live retune to `quanta`: scheduled on the local path at an
+    /// effective round [`FailoverConfig::announce_lead_rounds`] ahead of
+    /// the scan and flooded over the live channels. Returns `None` —
+    /// nothing begun — while a reset is in flight or every channel is
+    /// dead; the caller proposes again later.
+    pub fn retune<P: ControlPath>(
+        &mut self,
+        path: &mut P,
+        quanta: &[i64],
+        now: SimTime,
+    ) -> Option<Vec<ControlTransmission>> {
+        let live = self.live.live_mask();
+        if self.reset.in_progress() || !live.iter().any(|&l| l) {
+            return None;
+        }
+        let eff = path.current_round() + self.cfg.announce_lead_rounds;
+        self.retune
+            .begin(quanta.to_vec(), &live, eff)
+            .expect("tracker mask covers every channel");
+        path.schedule_quanta(eff, quanta);
+        self.last_retransmit_ns = now.as_nanos();
+        let mut out = Vec::new();
+        flood(&self.retune, path, now, &mut out);
+        Some(out)
     }
 
     /// Drive timers: emit due probes (dead channels included — that is how
@@ -221,25 +261,15 @@ impl FailoverDriver {
                 // handshake cannot wedge on a dead channel.
                 out.extend(self.begin_reset(path, now));
             }
-        } else if self.membership.in_progress()
-            && now.as_nanos().saturating_sub(self.last_retransmit_ns)
-                >= self.cfg.retransmit_interval_ns
+        } else if now.as_nanos().saturating_sub(self.last_retransmit_ns)
+            >= self.cfg.retransmit_interval_ns
         {
+            // The one retransmit loop: every in-flight handshake resends
+            // to the channels still awaiting its ack.
             self.last_retransmit_ns = now.as_nanos();
-            if let Some(msg) = self.membership.current_announcement() {
-                for c in self.membership.awaiting_channels() {
-                    out.push(path.transmit_control_ref(now, c, &msg));
-                }
-            }
-        }
-        if self.reset.in_progress()
-            && now.as_nanos().saturating_sub(self.last_reset_retransmit_ns)
-                >= self.cfg.retransmit_interval_ns
-        {
-            self.last_reset_retransmit_ns = now.as_nanos();
-            for (c, ctl) in self.reset.retransmit() {
-                out.push(path.transmit_control(now, c, ctl));
-            }
+            flood(&self.membership, path, now, &mut out);
+            flood(&self.retune, path, now, &mut out);
+            flood(&self.reset, path, now, &mut out);
         }
         out
     }
@@ -308,14 +338,21 @@ impl FailoverDriver {
                 self.membership.on_ack(channel, *epoch);
                 Vec::new()
             }
-            Control::ResetAck { epoch } => {
-                if let ResetProgress::Complete = self.reset.on_ack(channel, *epoch) {
-                    // Both ends have flushed in-flight state; the caller
-                    // now resets the local engines and re-announces to
-                    // resume data (see `take_pending_engine_reset`).
-                    self.pending_engine_reset = true;
+            Control::QuantumAck { epoch } => {
+                if self.retune.on_ack(channel, *epoch) != HandshakeProgress::Ignored {
+                    self.retune_acks += 1;
                 }
                 Vec::new()
+            }
+            Control::ResetAck { epoch } => {
+                if self.reset.on_ack(channel, *epoch) != HandshakeProgress::Complete {
+                    return Vec::new();
+                }
+                // Resume: the receiver has flushed and acked, so flush
+                // the local engines too — both ends restart from zero —
+                // and re-teach the mask and quanta in force to unpark.
+                path.reset_engine();
+                self.resume(path, now)
             }
             Control::DesyncAlert { incarnation } => {
                 // The receiver's self-check believes its state diverged.
@@ -336,23 +373,16 @@ impl FailoverDriver {
         }
     }
 
-    /// A completed reset is waiting for the engine flush. Returns `true`
-    /// at most once per completed reset; on `true` the caller must reset
-    /// its datapath engines (sender state, per-flow schedulers) and then
-    /// call [`reannounce`](FailoverDriver::reannounce) to re-teach the
-    /// receiver the current membership and unpark data.
-    pub fn take_pending_engine_reset(&mut self) -> bool {
-        core::mem::take(&mut self.pending_engine_reset)
-    }
-
-    /// Re-announce the current live mask — the post-reset resume step,
-    /// and a recovery hook after a recorded membership error.
-    pub fn reannounce<P: ControlPath>(
-        &mut self,
-        path: &mut P,
-        now: SimTime,
-    ) -> Vec<ControlTransmission> {
-        self.announce_current_mask(path, now)
+    /// The post-reset resume step: both ends just fell back to their
+    /// initial masks and quanta, so re-announce the live mask and the
+    /// quanta in force.
+    fn resume<P: ControlPath>(&mut self, path: &mut P, now: SimTime) -> Vec<ControlTransmission> {
+        let mut out = self.announce_current_mask(path, now);
+        if !self.retune.payload().is_empty() {
+            let quanta = self.retune.payload().clone();
+            out.extend(self.retune(path, &quanta, now).unwrap_or_default());
+        }
+        out
     }
 
     /// Is the datapath parked — every channel dead, or a §5 reset still
@@ -379,7 +409,12 @@ impl FailoverDriver {
 
     /// §5 resets fully acknowledged.
     pub fn resets_completed(&self) -> u64 {
-        self.reset.resets_completed()
+        self.reset.completed()
+    }
+
+    /// Quantum acks that advanced the retune handshake.
+    pub fn retune_acks(&self) -> u64 {
+        self.retune_acks
     }
 
     /// Resets initiated because of a receiver [`Control::DesyncAlert`].
@@ -403,14 +438,14 @@ impl FailoverDriver {
         &self.live
     }
 
-    /// The membership sender (epoch/mask inspection).
-    pub fn membership(&self) -> &MembershipSender {
+    /// The membership handshake (epoch/mask inspection).
+    pub fn membership(&self) -> &EpochHandshake<Vec<bool>> {
         &self.membership
     }
 
-    /// The reset sender (§5 epoch inspection).
-    pub fn reset_state(&self) -> &ResetSender {
-        &self.reset
+    /// The retune handshake (epoch and quanta-in-force inspection).
+    pub fn retune_state(&self) -> &EpochHandshake<Vec<i64>> {
+        &self.retune
     }
 }
 
@@ -489,9 +524,9 @@ impl<S: CausalScheduler, P: WireLen> StripedSinkBuilder<S, P> {
         }
         StripedSink {
             rx,
-            membership: MembershipResponder::new(),
-            retune: RetuneResponder::new(),
-            reset_resp: ResetResponder::new(),
+            membership: EpochResponder::new(),
+            retune: EpochResponder::new(),
+            reset_resp: EpochResponder::new(),
             incarnation: self
                 .incarnation
                 .unwrap_or_else(stripe_core::reset::fresh_incarnation),
@@ -500,15 +535,15 @@ impl<S: CausalScheduler, P: WireLen> StripedSinkBuilder<S, P> {
 }
 
 /// Receiver-side endpoint: logical reception plus the responder halves of
-/// the probe, membership, and retune protocols.
+/// the probe protocol and the three epoch'd handshakes.
 #[derive(Debug)]
 pub struct StripedSink<S: CausalScheduler, P> {
     rx: LogicalReceiver<S, P>,
-    membership: MembershipResponder,
-    retune: RetuneResponder,
+    membership: EpochResponder<Vec<bool>>,
+    retune: EpochResponder<Vec<i64>>,
     /// Survives [`reset`](StripedSink::reset): the §5 epoch must outlive
     /// the flush it gates, or a retransmitted request would flush twice.
-    reset_resp: ResetResponder,
+    reset_resp: EpochResponder<Flush>,
     incarnation: u64,
 }
 
@@ -528,8 +563,8 @@ impl<S: CausalScheduler, P: WireLen> StripedSink<S, P> {
     /// close/reopen churn for free.
     pub fn reset(&mut self) {
         self.rx.reset();
-        self.membership = MembershipResponder::new();
-        self.retune = RetuneResponder::new();
+        self.membership = EpochResponder::new();
+        self.retune = EpochResponder::new();
     }
 
     /// A data packet or marker arrived on `channel`.
@@ -540,86 +575,34 @@ impl<S: CausalScheduler, P: WireLen> StripedSink<S, P> {
     /// A control message arrived on `channel`; returns the replies to
     /// transmit on the reverse path.
     pub fn on_control(&mut self, channel: ChannelId, ctl: &Control) -> Vec<(ChannelId, Control)> {
-        match ctl {
+        let n = self.rx.scheduler().channels();
+        let reply = match ctl {
             Control::Marker(mk) => {
                 self.rx.push(channel, Arrival::Marker(*mk));
-                Vec::new()
+                None
             }
-            Control::Probe { nonce } => {
-                vec![(
-                    channel,
-                    Control::ProbeAck {
-                        nonce: *nonce,
-                        incarnation: self.incarnation,
-                    },
-                )]
-            }
-            Control::ResetRequest { epoch } => match self.reset_resp.on_request(channel, *epoch) {
-                ResponderAction::FlushAndAck { channel, ack } => {
-                    self.reset();
-                    vec![(channel, ack)]
-                }
-                ResponderAction::AckOnly { channel, ack } => vec![(channel, ack)],
-                ResponderAction::Ignore => Vec::new(),
-            },
-            Control::Membership {
-                epoch,
-                live_mask,
-                effective_round,
-            } => {
-                let n = self.rx.scheduler().channels();
-                match self.membership.on_membership(
-                    channel,
-                    *epoch,
-                    *live_mask,
-                    *effective_round,
-                    n,
-                ) {
-                    MembershipAction::Apply {
-                        channel,
-                        effective_round,
-                        live,
-                        ack,
-                    } => {
-                        self.rx.apply_membership(effective_round, &live);
-                        vec![(channel, ack)]
-                    }
-                    MembershipAction::AckOnly { channel, ack } => vec![(channel, ack)],
-                    MembershipAction::Ignore => Vec::new(),
-                }
-            }
-            Control::QuantumUpdate {
-                effective_round,
-                quanta,
-            } => {
-                self.rx.schedule_quanta(*effective_round, quanta);
-                Vec::new()
-            }
-            Control::QuantumAnnounce {
-                epoch,
-                effective_round,
-                quanta,
-            } => {
-                let n = self.rx.scheduler().channels();
-                match self
-                    .retune
-                    .on_announce(channel, *epoch, *effective_round, quanta, n)
-                {
-                    RetuneAction::Apply {
-                        channel,
-                        effective_round,
-                        quanta,
-                        ack,
-                    } => {
-                        self.rx.schedule_quanta(effective_round, &quanta);
-                        vec![(channel, ack)]
-                    }
-                    RetuneAction::AckOnly { channel, ack } => vec![(channel, ack)],
-                    RetuneAction::Ignore => Vec::new(),
-                }
-            }
-            _ => Vec::new(),
-        }
+            Control::Probe { nonce } => Some((
+                channel,
+                Control::ProbeAck {
+                    nonce: *nonce,
+                    incarnation: self.incarnation,
+                },
+            )),
+            Control::Membership { .. } => self
+                .membership
+                .on_announce(channel, ctl, n)
+                .reply(|eff, live| self.rx.apply_membership(eff, &live)),
+            Control::QuantumAnnounce { .. } => self
+                .retune
+                .on_announce(channel, ctl, n)
+                .reply(|eff, quanta| self.rx.schedule_quanta(eff, &quanta)),
+            Control::ResetRequest { .. } => self
+                .reset_resp
+                .on_announce(channel, ctl, n)
+                .reply(|_, Flush| self.reset()),
+            _ => None,
+        };
+        reply.into_iter().collect()
     }
 
     /// Deliver the next in-order packet (see [`LogicalReceiver::poll`]).
@@ -648,18 +631,8 @@ impl<S: CausalScheduler, P: WireLen> StripedSink<S, P> {
         self.incarnation
     }
 
-    /// §5 flushes performed in response to reset requests.
-    pub fn reset_flushes(&self) -> u64 {
-        self.reset_resp.flushes()
-    }
-
     /// The wrapped receiver.
     pub fn receiver(&self) -> &LogicalReceiver<S, P> {
         &self.rx
-    }
-
-    /// Mutable access to the wrapped receiver.
-    pub fn receiver_mut(&mut self) -> &mut LogicalReceiver<S, P> {
-        &mut self.rx
     }
 }

@@ -193,6 +193,12 @@ pub trait ControlPath {
         let _ = (effective_round, quanta);
     }
 
+    /// Flush the sender-side engine state — schedulers, fairness
+    /// ledgers, marker cadence, queued-but-unsent packets — after a
+    /// completed §5 reset. The receiver flushed its half when it acked;
+    /// both ends restart the simulation from the same zero.
+    fn reset_engine(&mut self);
+
     /// Transmit one control message on channel `c` at `now`.
     fn transmit_control(&mut self, now: SimTime, c: ChannelId, ctl: Control)
         -> ControlTransmission;
@@ -654,6 +660,10 @@ impl<S: CausalScheduler, L: FifoLink> ControlPath for StripedPath<S, L> {
 
     fn schedule_quanta(&mut self, effective_round: u64, quanta: &[i64]) {
         self.tx.schedule_quanta(effective_round, quanta);
+    }
+
+    fn reset_engine(&mut self) {
+        self.tx.reset();
     }
 
     fn transmit_control(

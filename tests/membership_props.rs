@@ -6,8 +6,9 @@
 use proptest::prelude::*;
 
 use stripe::core::control::Control;
-use stripe::core::membership::{
-    mask_to_vec, vec_to_mask, MembershipAction, MembershipResponder, MembershipSender,
+use stripe::core::handshake::{
+    mask_to_vec, vec_to_mask, EpochHandshake as MembershipSender,
+    EpochResponder as MembershipResponder, HandshakeAction as MembershipAction,
 };
 use stripe::core::sched::{CausalScheduler, Srr};
 
@@ -16,7 +17,7 @@ const N: usize = 4;
 /// Feed one announcement (with `extra_copies` duplicates) through the
 /// responder, applying any Apply action to the receiver scheduler.
 fn deliver(
-    responder: &mut MembershipResponder,
+    responder: &mut MembershipResponder<Vec<bool>>,
     rx: &mut Srr,
     msgs: &[(usize, Control)],
     extra_copies: usize,
@@ -35,7 +36,7 @@ fn deliver(
             match responder.on_membership(*c, *epoch, *live_mask, *effective_round, N) {
                 MembershipAction::Apply {
                     effective_round,
-                    live,
+                    payload: live,
                     ..
                 } => {
                     rx.schedule_mask(effective_round, &live);
@@ -59,7 +60,7 @@ proptest! {
         dup in prop::collection::vec(0usize..3, 8),
         swaps in prop::collection::vec((0usize..128, 0usize..128), 0..48),
     ) {
-        let mut sender = MembershipSender::new(N);
+        let mut sender = MembershipSender::<Vec<bool>>::new(N);
         let mut bag: Vec<(usize, Control)> = Vec::new();
         for (i, &m) in masks.iter().enumerate() {
             let live = mask_to_vec(m, N);
@@ -73,7 +74,7 @@ proptest! {
         for &(a, b) in &swaps {
             bag.swap(a % len, b % len);
         }
-        let mut responder = MembershipResponder::new();
+        let mut responder = MembershipResponder::<Vec<bool>>::new();
         let mut rx = Srr::equal(N, 1500);
         let mut applied: Vec<(u32, u16)> = Vec::new();
         deliver(&mut responder, &mut rx, &bag, 0, &mut applied);
@@ -103,7 +104,7 @@ proptest! {
         masks in prop::collection::vec(1u16..16, 10),
     ) {
         let start = u32::MAX - start_offset;
-        let mut responder = MembershipResponder::new();
+        let mut responder = MembershipResponder::<Vec<bool>>::new();
         let mut applied = Vec::new();
         for i in 0..count {
             let epoch = start.wrapping_add(i);
@@ -139,8 +140,8 @@ proptest! {
     ) {
         let mut tx = Srr::equal(N, 1500);
         let mut rx = Srr::equal(N, 1500);
-        let mut sender = MembershipSender::new(N);
-        let mut responder = MembershipResponder::new();
+        let mut sender = MembershipSender::<Vec<bool>>::new(N);
+        let mut responder = MembershipResponder::<Vec<bool>>::new();
         let mut applied = Vec::new();
 
         let phase = lens.len() / 3;
@@ -194,8 +195,8 @@ proptest! {
     ) {
         let mut tx = Srr::equal(N, 1500);
         let mut rx = Srr::equal(N, 1500);
-        let mut sender = MembershipSender::new(N);
-        let mut responder = MembershipResponder::new();
+        let mut sender = MembershipSender::<Vec<bool>>::new(N);
+        let mut responder = MembershipResponder::<Vec<bool>>::new();
         let mut applied: Vec<(u32, u16)> = Vec::new();
 
         // A channel dies: shrink announced, applied to the sender's own

@@ -337,12 +337,6 @@ fn arb_control() -> impl Strategy<Value = Control> {
         arb_marker.prop_map(Control::Marker),
         any::<u32>().prop_map(|epoch| Control::ResetRequest { epoch }),
         any::<u32>().prop_map(|epoch| Control::ResetAck { epoch }),
-        (any::<u64>(), prop::collection::vec(1i64..1 << 40, 1..16)).prop_map(
-            |(effective_round, quanta)| Control::QuantumUpdate {
-                effective_round,
-                quanta,
-            }
-        ),
         any::<u64>().prop_map(|nonce| Control::Probe { nonce }),
         (any::<u64>(), any::<u64>())
             .prop_map(|(nonce, incarnation)| Control::ProbeAck { nonce, incarnation }),

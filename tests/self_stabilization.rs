@@ -6,10 +6,12 @@
 
 use proptest::prelude::*;
 use stripe::core::control::Control;
-use stripe::core::receiver::{Arrival, LogicalReceiver};
-use stripe::core::reset::{
-    DesyncDetector, ResetProgress, ResetResponder, ResetSender, ResponderAction,
+use stripe::core::handshake::{
+    EpochHandshake as ResetSender, EpochResponder as ResetResponder, Flush,
+    HandshakeAction as ResponderAction, HandshakeProgress as ResetProgress,
 };
+use stripe::core::receiver::{Arrival, LogicalReceiver};
+use stripe::core::reset::DesyncDetector;
 use stripe::core::sched::{CausalScheduler, Srr};
 use stripe::core::sender::{MarkerConfig, StripingSender};
 use stripe::core::types::TestPacket;
@@ -30,8 +32,8 @@ fn run_with_corruption(corrupt_at: u64, control_loss: f64, seed: u64) {
     let mut tx = StripingSender::new(Srr::weighted(&quanta), MarkerConfig::every_rounds(4));
     let mut rx = LogicalReceiver::new(Srr::weighted(&quanta), 1 << 14);
     let mut detector = DesyncDetector::new(64, 0.35, 3);
-    let mut reset_tx = ResetSender::new(N);
-    let mut reset_rx = ResetResponder::new();
+    let mut reset_tx = ResetSender::<Flush>::new(N);
+    let mut reset_rx = ResetResponder::<Flush>::new();
     let mut rng = DetRng::new(seed);
 
     let mut delivered: Vec<u64> = Vec::new();
@@ -53,7 +55,7 @@ fn run_with_corruption(corrupt_at: u64, control_loss: f64, seed: u64) {
                     panic!("unexpected control type")
                 };
                 match reset_rx.on_request(c, epoch) {
-                    ResponderAction::FlushAndAck { channel, ack }
+                    ResponderAction::Apply { channel, ack, .. }
                     | ResponderAction::AckOnly { channel, ack } => {
                         // Receiver reinitializes exactly once per epoch.
                         if reset_rx.flushes() > resets {

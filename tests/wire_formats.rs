@@ -32,12 +32,6 @@ fn arb_control() -> impl Strategy<Value = Control> {
         arb_marker().prop_map(Control::Marker),
         any::<u32>().prop_map(|epoch| Control::ResetRequest { epoch }),
         any::<u32>().prop_map(|epoch| Control::ResetAck { epoch }),
-        (any::<u64>(), prop::collection::vec(1i64..1 << 40, 1..16)).prop_map(
-            |(effective_round, quanta)| Control::QuantumUpdate {
-                effective_round,
-                quanta,
-            }
-        ),
         any::<u64>().prop_map(|nonce| Control::Probe { nonce }),
         (any::<u64>(), any::<u64>())
             .prop_map(|(nonce, incarnation)| Control::ProbeAck { nonce, incarnation }),
@@ -79,10 +73,6 @@ fn every_control_variant() -> Vec<Control> {
         }),
         Control::ResetRequest { epoch: 1 },
         Control::ResetAck { epoch: u32::MAX },
-        Control::QuantumUpdate {
-            effective_round: 40,
-            quanta: vec![1500, 9000, 64],
-        },
         Control::Probe { nonce: 0xDEAD_BEEF },
         Control::ProbeAck {
             nonce: u64::MAX,
@@ -111,14 +101,13 @@ fn variant_index(c: &Control) -> usize {
         Control::Marker(_) => 0,
         Control::ResetRequest { .. } => 1,
         Control::ResetAck { .. } => 2,
-        Control::QuantumUpdate { .. } => 3,
-        Control::Probe { .. } => 4,
-        Control::ProbeAck { .. } => 5,
-        Control::Membership { .. } => 6,
-        Control::MembershipAck { .. } => 7,
-        Control::QuantumAnnounce { .. } => 8,
-        Control::QuantumAck { .. } => 9,
-        Control::DesyncAlert { .. } => 10,
+        Control::Probe { .. } => 3,
+        Control::ProbeAck { .. } => 4,
+        Control::Membership { .. } => 5,
+        Control::MembershipAck { .. } => 6,
+        Control::QuantumAnnounce { .. } => 7,
+        Control::QuantumAck { .. } => 8,
+        Control::DesyncAlert { .. } => 9,
     }
 }
 
@@ -129,7 +118,7 @@ fn variant_index(c: &Control) -> usize {
 #[test]
 fn control_wire_len_matches_encoding_for_every_variant() {
     let samples = every_control_variant();
-    let mut seen = [false; 11];
+    let mut seen = [false; 10];
     for c in &samples {
         seen[variant_index(c)] = true;
         let enc = c.encode();
