@@ -10,20 +10,12 @@
 //! the zero-alloc steady state — plus the syscall-batching columns the
 //! mmsg datapath adds: frames per `sendmmsg`/`recvmmsg` call ("tx occ"/
 //! "rx occ") and total syscalls per delivered packet ("sys/pkt"). A
-//! final cell injects periodic data loss through `DropLink` to show
-//! marker resynchronization holding the reorder rate down under real
-//! loss.
+//! final cell injects periodic data loss through an `ImpairedLink` to
+//! show marker resynchronization holding the reorder rate down under
+//! real loss.
 //!
-//! The harness is generic over the link type, so the same cells run in
-//! two modes:
-//!
-//! - **inline** — `UdpChannel` driven from the bench thread, syscalls
-//!   batched via `send_run_owned` + end-of-burst `flush`. This is the
-//!   canonical configuration (and the headline row).
-//! - **sharded** — each `UdpChannel` wrapped in a `ShardedUdpChannel`,
-//!   its syscalls issued by a per-channel I/O worker fed over SPSC
-//!   rings. Reported for comparison; on a single-core host the extra
-//!   hop costs more than the parallelism returns.
+//! Every `UdpChannel` is driven from the bench thread, syscalls batched
+//! via `send_run_owned` + end-of-burst `flush`.
 //!
 //! Writes `BENCH_udp_loopback.json` at the repo root. Set
 //! `STRIPE_BENCH_SMOKE=1` for a fast CI smoke run and
@@ -38,10 +30,9 @@ use stripe_bench::table::Table;
 use stripe_core::receiver::{Arrival, RxBatch};
 use stripe_core::sched::Srr;
 use stripe_core::sender::MarkerConfig;
-use stripe_link::DatagramLink;
 use stripe_net::{
-    DropLink, DropPolicy, NetLogicalReceiver, NetStripedPath, PooledBuf, ShardConfig,
-    ShardedUdpChannel, UdpChannel, UdpChannelSnapshot, WallClock,
+    ChaosPlan, DropPolicy, ImpairedLink, NetLogicalReceiver, NetStripedPath, PooledBuf, UdpChannel,
+    UdpChannelSnapshot, WallClock,
 };
 use stripe_transport::TxBatch;
 
@@ -57,34 +48,8 @@ const BURST: usize = 128;
 /// resequencer slack never overflows loopback.
 const SOCK_BUF: usize = 1 << 22;
 
-type Path<L> = NetStripedPath<Srr, DropLink<L>>;
-type Rx<L> = NetLogicalReceiver<Srr, L>;
-
-/// A link the bench can harvest syscall counters from.
-trait BenchLink: DatagramLink {
-    fn snapshot(&self) -> UdpChannelSnapshot;
-    /// Snapshot that may also sample kernel drop counters (procfs —
-    /// allocates, so only called outside measured windows).
-    fn snapshot_sampled(&mut self) -> UdpChannelSnapshot;
-}
-
-impl BenchLink for UdpChannel {
-    fn snapshot(&self) -> UdpChannelSnapshot {
-        self.stats()
-    }
-    fn snapshot_sampled(&mut self) -> UdpChannelSnapshot {
-        self.stats_sampled()
-    }
-}
-
-impl BenchLink for ShardedUdpChannel {
-    fn snapshot(&self) -> UdpChannelSnapshot {
-        self.stats()
-    }
-    fn snapshot_sampled(&mut self) -> UdpChannelSnapshot {
-        self.stats_sampled()
-    }
-}
+type Path = NetStripedPath<Srr, ImpairedLink<UdpChannel>>;
+type Rx = NetLogicalReceiver<Srr, UdpChannel>;
 
 /// Aggregate syscall counters across one side's links.
 #[derive(Debug, Clone, Copy, Default)]
@@ -112,18 +77,18 @@ impl SyscallAgg {
     }
 }
 
-fn tx_agg<L: BenchLink>(path: &Path<L>) -> SyscallAgg {
+fn tx_agg(path: &Path) -> SyscallAgg {
     let mut a = SyscallAgg::default();
     for l in path.links() {
-        a.add(&l.inner().snapshot());
+        a.add(&l.inner().stats());
     }
     a
 }
 
-fn rx_agg<L: BenchLink>(rx: &Rx<L>) -> SyscallAgg {
+fn rx_agg(rx: &Rx) -> SyscallAgg {
     let mut a = SyscallAgg::default();
     for l in rx.links() {
-        a.add(&l.snapshot());
+        a.add(&l.stats());
     }
     a
 }
@@ -165,7 +130,7 @@ struct Harness {
 impl Harness {
     /// Send one burst of `payload`-byte packets, ids stamped in the first
     /// 8 bytes, reusing pooled send buffers.
-    fn send_burst<L: BenchLink>(&mut self, path: &mut Path<L>, payload: usize, until: u64) {
+    fn send_burst(&mut self, path: &mut Path, payload: usize, until: u64) {
         let n = (BURST as u64).min(until.saturating_sub(self.next_id)) as usize;
         for _ in 0..n {
             let mut p = self.send_pool.pop().unwrap_or_default();
@@ -184,7 +149,7 @@ impl Harness {
     }
 
     /// One receive pass: flush backlogs, sweep the sockets, record ids.
-    fn sweep<L: BenchLink>(&mut self, path: &mut Path<L>, rx: &mut Rx<L>) {
+    fn sweep(&mut self, path: &mut Path, rx: &mut Rx) {
         path.flush();
         rx.sweep(self.clock.now());
         rx.poll_into(&mut self.batch);
@@ -195,11 +160,9 @@ impl Harness {
         }
     }
 
-    /// Block the burst loop until every link's send backlog has drained.
-    /// Inline links only backlog on kernel backpressure (rare on
-    /// loopback); sharded links park each burst in their SPSC rings and
-    /// the I/O workers — sharing this core — need the yields to run.
-    fn wait_backlog<L: BenchLink>(&mut self, path: &mut Path<L>, rx: &mut Rx<L>) {
+    /// Block the burst loop until every link's send backlog has drained
+    /// (links only backlog on kernel backpressure, rare on loopback).
+    fn wait_backlog(&mut self, path: &mut Path, rx: &mut Rx) {
         while path.backlog() > 0 {
             std::thread::yield_now();
             self.sweep(path, rx);
@@ -209,13 +172,7 @@ impl Harness {
     /// Sweep until `expect` ids have arrived; lost frames lower the bar as
     /// they are detected. Idle markers are re-sent periodically so losses
     /// near the stream tail cannot wedge the resequencer.
-    fn drain<L: BenchLink>(
-        &mut self,
-        path: &mut Path<L>,
-        rx: &mut Rx<L>,
-        sent: u64,
-        deadline: Duration,
-    ) {
+    fn drain(&mut self, path: &mut Path, rx: &mut Rx, sent: u64, deadline: Duration) {
         let t0 = Instant::now();
         let mut spins = 0u32;
         while (self.ids.len() as u64) < sent.saturating_sub(losses(path)) {
@@ -233,33 +190,27 @@ impl Harness {
     }
 }
 
-fn losses<L: BenchLink>(path: &Path<L>) -> u64 {
-    path.links().iter().map(|l| l.dropped()).sum()
+fn losses(path: &Path) -> u64 {
+    path.links().iter().map(|l| l.snapshot().dropped_loss).sum()
 }
 
 /// Drive `total` packets of `payload` bytes over `channels` loopback
 /// links; `drop_period` = 0 for lossless, or N to drop one data frame
 /// in every N on channel 0.
-fn run_live<L: BenchLink>(
-    tx_links: Vec<L>,
-    rx_links: Vec<L>,
-    channels: usize,
-    payload: usize,
-    total: u64,
-    drop_period: u64,
-) -> Run {
-    let drops: Vec<DropLink<L>> = tx_links
+fn run_live(channels: usize, payload: usize, total: u64, drop_period: u64) -> Run {
+    let (tx_links, rx_links) = loopback_pairs(channels);
+    let drops: Vec<ImpairedLink<UdpChannel>> = tx_links
         .into_iter()
         .enumerate()
         .map(|(i, l)| {
-            let policy = if drop_period > 0 && i == 0 {
-                DropPolicy::Periodic {
+            let plan = if drop_period > 0 && i == 0 {
+                ChaosPlan::none().loss(DropPolicy::Periodic {
                     period: drop_period,
-                }
+                })
             } else {
-                DropPolicy::None
+                ChaosPlan::none()
             };
-            DropLink::new(l, policy)
+            ImpairedLink::new(l, plan, 0)
         })
         .collect();
     let mut path = NetStripedPath::builder()
@@ -284,7 +235,7 @@ fn run_live<L: BenchLink>(
         next_id: 0,
     };
 
-    // Warm-up: pools, rings, and scratch reach their high-water marks.
+    // Warm-up: pools, queues, and scratch reach their high-water marks.
     let warm = (BURST * 8) as u64;
     while h.next_id < warm {
         h.send_burst(&mut path, payload, warm);
@@ -330,10 +281,10 @@ fn run_live<L: BenchLink>(
     let mut kernel_drops = 0u64;
     let (mut sndbuf, mut rcvbuf) = (0u64, 0u64);
     for l in path.links_mut() {
-        sndbuf = l.inner_mut().snapshot_sampled().sndbuf;
+        sndbuf = l.inner_mut().stats_sampled().sndbuf;
     }
     for l in rx.links_mut() {
-        let snap = l.snapshot_sampled();
+        let snap = l.stats_sampled();
         kernel_drops += snap.dropped_rcvbuf;
         rcvbuf = snap.rcvbuf;
     }
@@ -356,8 +307,8 @@ fn run_live<L: BenchLink>(
     }
 }
 
-/// Builder for one side's inline channels with the bench's socket tuning.
-fn inline_pairs(channels: usize) -> (Vec<UdpChannel>, Vec<UdpChannel>) {
+/// Connected loopback channel pairs with the bench's socket tuning.
+fn loopback_pairs(channels: usize) -> (Vec<UdpChannel>, Vec<UdpChannel>) {
     let mut tx = Vec::new();
     let mut rx = Vec::new();
     for _ in 0..channels {
@@ -371,19 +322,6 @@ fn inline_pairs(channels: usize) -> (Vec<UdpChannel>, Vec<UdpChannel>) {
         rx.push(b);
     }
     (tx, rx)
-}
-
-fn sharded_pairs(channels: usize) -> (Vec<ShardedUdpChannel>, Vec<ShardedUdpChannel>) {
-    let (tx, rx) = inline_pairs(channels);
-    let cfg = ShardConfig::new();
-    (
-        tx.into_iter()
-            .map(|c| cfg.spawn(c).expect("spawn tx worker"))
-            .collect(),
-        rx.into_iter()
-            .map(|c| cfg.spawn(c).expect("spawn rx worker"))
-            .collect(),
-    )
 }
 
 fn main() {
@@ -402,7 +340,6 @@ fn main() {
     );
 
     let mut table = Table::new(&[
-        "mode",
         "channels",
         "payload",
         "loss",
@@ -421,28 +358,11 @@ fn main() {
 
     let mut first = true;
     let mut headline: Option<f64> = None;
-    // (mode, channels, payload, drop_period): the four canonical inline
-    // cells (lossless sweep + real loss), then sharded comparison rows.
-    let cells: &[(&str, usize, usize, u64)] = &[
-        ("inline", 2, 256, 0),
-        ("inline", 4, 256, 0),
-        ("inline", 4, 1200, 0),
-        ("inline", 4, 1200, 101),
-        ("sharded", 4, 256, 0),
-        ("sharded", 4, 1200, 0),
-    ];
-    for &(mode, channels, payload, drop_period) in cells {
-        let r = match mode {
-            "inline" => {
-                let (tx, rx) = inline_pairs(channels);
-                run_live(tx, rx, channels, payload, total, drop_period)
-            }
-            _ => {
-                let (tx, rx) = sharded_pairs(channels);
-                run_live(tx, rx, channels, payload, total, drop_period)
-            }
-        };
-        if mode == "inline" && channels == 4 && payload == 1200 && drop_period == 0 {
+    // (channels, payload, drop_period): a lossless sweep, then real loss.
+    let cells: &[(usize, usize, u64)] = &[(2, 256, 0), (4, 256, 0), (4, 1200, 0), (4, 1200, 101)];
+    for &(channels, payload, drop_period) in cells {
+        let r = run_live(channels, payload, total, drop_period);
+        if channels == 4 && payload == 1200 && drop_period == 0 {
             headline = Some(r.pkts_per_sec);
         }
         let loss_label = if drop_period == 0 {
@@ -451,7 +371,6 @@ fn main() {
             format!("1/{drop_period}")
         };
         table.row_owned(vec![
-            mode.to_string(),
             channels.to_string(),
             payload.to_string(),
             loss_label,
@@ -470,7 +389,7 @@ fn main() {
         first = false;
         let _ = write!(
             json,
-            "    {{\"mode\": \"{mode}\", \"channels\": {channels}, \
+            "    {{\"channels\": {channels}, \
              \"payload\": {payload}, \"drop_period\": {drop_period}, \
              \"pkts_per_sec\": {:.0}, \"bytes_per_sec\": {:.0}, \
              \"allocs_per_packet\": {:.4}, \"reorder_fraction\": {:.6}, \
@@ -507,7 +426,7 @@ fn main() {
 
     println!("{}", table.render());
     println!(
-        "\nheadline (inline, 4 channels, 1200B, lossless): {:.2} Mpkt/s",
+        "\nheadline (4 channels, 1200B, lossless): {:.2} Mpkt/s",
         headline / 1e6
     );
 

@@ -202,9 +202,9 @@ impl LivenessTracker {
     }
 
     /// Declare `channel` dead immediately, bypassing the silence deadline.
-    /// For out-of-band death evidence — a socket-layer hard error, a
-    /// panicked I/O worker — where waiting out `dead_after_ns` would only
-    /// delay the failover the evidence already justifies. Returns `true`
+    /// For out-of-band death evidence — a socket-layer hard error —
+    /// where waiting out `dead_after_ns` would only delay the failover
+    /// the evidence already justifies. Returns `true`
     /// if the channel was newly declared dead (the caller should announce
     /// a shrunken mask), `false` if it was already dead or out of range.
     /// Probing continues with backoff, so recovery detection is unchanged.

@@ -139,7 +139,7 @@ pub trait DatagramLink {
     }
 
     /// Whether the link has declared itself permanently failed — a
-    /// refused socket past its grace, a crashed I/O worker. Dead links
+    /// refused socket past its grace, a fatal errno streak. Dead links
     /// fail sends fast with [`TxError::LinkDown`]; pollers (the sender
     /// reactor) surface the flag to the failover driver so the channel
     /// is retired through the same liveness path a silent channel takes,
@@ -150,9 +150,8 @@ pub trait DatagramLink {
         false
     }
 
-    /// Attempt to restore a dead link with a fresh transport: a new
-    /// connected socket on the same local endpoint, a respawned I/O
-    /// worker — whatever the implementation's failure mode was. Returns
+    /// Attempt to restore a dead link with a fresh transport — for a UDP
+    /// channel, a new connected socket on the same local endpoint. Returns
     /// `true` when the link came back ready to be *re-probed* (the
     /// lifecycle treats success as "worth probing", never "healthy");
     /// `false` when the rebuild failed and the caller should back off
@@ -175,8 +174,9 @@ pub trait DatagramLink {
 }
 
 /// One direction of an in-memory datagram pipe (see [`datagram_pair`]):
-/// frames sent here pop out of the peer's [`recv_frame`], in order, with a
-/// bounded capacity. Deterministic and socket-free, for unit-testing
+/// frames sent here pop out of the peer's
+/// [`recv_frame`](DatagramLink::recv_frame), in order, with a bounded
+/// capacity. Deterministic and socket-free, for unit-testing
 /// everything that stripes over a [`DatagramLink`].
 #[derive(Debug)]
 pub struct TestDatagramLink {

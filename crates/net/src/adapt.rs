@@ -11,7 +11,7 @@
 //!    [`TxEvidence`] and probe timestamps into its
 //!    [`ChannelEstimator`];
 //! 2. on a periodic estimation tick, rate estimates become shares
-//!    ([`rate_shares`](crate::est::rate_shares)), shares become a
+//!    ([`rate_shares`]), shares become a
 //!    quantum proposal ([`QuantumTuner::propose_into`]), and a proposal
 //!    that clears the deadband is handed to the failover driver, which
 //!    runs it as an epoch'd retune

@@ -295,9 +295,9 @@ impl ChaosPlan {
         (self.active_from..self.active_to).contains(&index)
     }
 
-    /// Whether the plan is *only* a deterministic drop policy — the
-    /// shape [`crate::fault::DropLink`] uses — enabling the run-
-    /// preserving fast path in `send_run_owned`.
+    /// Whether the plan is *only* a deterministic drop policy (the
+    /// Theorem 5.1 test shape), enabling the run-preserving fast path
+    /// in `send_run_owned`.
     fn pure_drop(&self) -> bool {
         self.loss_ppm == 0
             && self.corrupt_ppm == 0
@@ -706,7 +706,7 @@ impl<L: DatagramLink> DatagramLink for ImpairedLink<L> {
             }
             return;
         }
-        // Pure-drop fast path (the DropLink shape): apply the policy
+        // Pure-drop fast path (a lone DropPolicy): apply the policy
         // per frame, but forward maximal *kept* sub-runs to the inner
         // link in single calls so the zero-copy deferred batching
         // survives the wrapper. Dropped frames report Ok(()) in place
@@ -841,6 +841,55 @@ mod tests {
         assert_eq!(s.seen_data, 10);
         assert_eq!(s.dropped_total(), 0);
         assert_eq!(s.corrupted + s.duplicated + s.reordered + s.jittered, 0);
+    }
+
+    #[test]
+    fn drop_policies_drop_exactly_their_data_frames() {
+        // (policy, data frames offered, data indices that must arrive).
+        // A control frame rides mid-stream in every row and must always
+        // arrive: deterministic loss only ever touches data.
+        let rows: [(DropPolicy, u8, &[u8]); 4] = [
+            (DropPolicy::None, 4, &[0, 1, 2, 3]),
+            (DropPolicy::Window { from: 2, to: 4 }, 6, &[0, 1, 4, 5]),
+            (DropPolicy::Window { from: 0, to: 100 }, 3, &[]),
+            (DropPolicy::Periodic { period: 3 }, 9, &[0, 1, 3, 4, 6, 7]),
+        ];
+        for (policy, n, kept) in rows {
+            let mut frames: Vec<Vec<u8>> = (0..n).map(data_frame).collect();
+            let mut ctl = Vec::new();
+            encode_control_into(&Control::Probe { nonce: 5 }, &mut ctl);
+            frames.insert(frames.len() / 2, ctl);
+            // Per-frame sends and the pure-drop run fast path must agree
+            // frame for frame.
+            let (a1, mut b1) = datagram_pair(256, 64);
+            let (a2, mut b2) = datagram_pair(256, 64);
+            let mut per_frame = ImpairedLink::new(a1, ChaosPlan::none().loss(policy), 0);
+            let mut batched = ImpairedLink::new(a2, ChaosPlan::none().loss(policy), 0);
+            let out_ref: Vec<_> = frames.iter().map(|f| per_frame.send_frame(f)).collect();
+            let mut owned = frames.clone();
+            let mut out = Vec::new();
+            batched.send_run_owned(&mut owned, &mut out);
+            assert_eq!(out, out_ref, "{policy:?}");
+            assert_eq!(per_frame.snapshot(), batched.snapshot(), "{policy:?}");
+            let got = drain(&mut b1);
+            assert_eq!(got, drain(&mut b2), "{policy:?}");
+
+            let s = per_frame.snapshot();
+            assert_eq!(s.seen_data, u64::from(n), "{policy:?}");
+            assert_eq!(s.seen_control, 1, "{policy:?}");
+            assert_eq!(
+                s.dropped_loss + kept.len() as u64,
+                u64::from(n),
+                "{policy:?}"
+            );
+            assert_eq!(got.len(), kept.len() + 1, "{policy:?}: control lost");
+            let data: Vec<u8> = got
+                .iter()
+                .filter(|f| is_data_frame(f))
+                .map(|f| f[FRAME_HEADER_LEN])
+                .collect();
+            assert_eq!(data, kept, "{policy:?}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The paper's SRR striper assumes channel rates are known and fixed;
 //! real channel sets drift. [`ChannelEstimator`] turns the raw
 //! evidence the datapath already produces — cumulative
-//! [`TxEvidence`](stripe_link::TxEvidence) counters from each
+//! [`TxEvidence`] counters from each
 //! [`DatagramLink`](stripe_link::DatagramLink), and the liveness
 //! tracker's probe/ack nonces — into three smoothed per-channel
 //! figures:

@@ -15,7 +15,7 @@
 //! demultiplexing header (the real-network stand-in for the Ethernet
 //! type-field codepoint of §5). A *control* frame's body is exactly the
 //! bytes of [`Control::encode`] — markers ride as
-//! [`Control::Marker`](Control::Marker) — produced through
+//! [`Control::Marker`] — produced through
 //! [`Control::encode_into`], so the simulator and the socket path share
 //! one encoder and cannot drift.
 //!

@@ -41,12 +41,11 @@
 //! - [`clock`] — [`WallClock`], mapping `std::time::Instant` onto
 //!   [`SimTime`](stripe_netsim::SimTime) nanoseconds so every
 //!   timer-driven component runs on either clock.
-//! - [`fault`] — [`DropLink`], deterministic data-frame loss for
-//!   proving marker recovery (Theorem 5.1) over real sockets.
-//! - [`chaos`] — [`ImpairedLink`]/[`ChaosPlan`], the full seeded
-//!   impairment suite (loss, reorder, duplication, corruption, jitter,
-//!   partitions) with a [`ChaosSnapshot`] counting every injected
-//!   event; `DropLink` is now a thin shim over it.
+//! - [`chaos`] — [`ImpairedLink`]/[`ChaosPlan`], the seeded impairment
+//!   suite (deterministic [`DropPolicy`] loss for proving marker
+//!   recovery, Bernoulli loss, reorder, duplication, corruption,
+//!   jitter, partitions) with a [`ChaosSnapshot`] counting every
+//!   injected event.
 //! - [`lifecycle`] — [`ChannelLifecycle`], the per-channel recovery
 //!   state machine (`live → dead → cooldown → probing → rejoining →
 //!   live`) with exponential cooldown, bounded retries, and per-step
@@ -56,16 +55,8 @@
 //!   story.
 //! - [`sys`] — the linux-gated `sendmmsg`/`recvmmsg` FFI shim (std-only,
 //!   two `extern "C"` declarations) with a portable per-frame fallback
-//!   behind the same [`BatchIo`](sys::BatchIo) API; also
-//!   `SO_SNDBUF`/`SO_RCVBUF` configuration and the `/proc/net/udp`
-//!   kernel-drop estimate.
-//! - [`ring`] — a bounded lock-free SPSC ring, the reactor↔worker seam.
-//! - [`shard`] — [`ShardedUdpChannel`], a per-channel I/O worker thread
-//!   behind the same [`DatagramLink`](stripe_link::DatagramLink)
-//!   surface: frames cross bounded SPSC rings of recycled buffers, the
-//!   worker batches syscalls with adaptive spin-then-park polling, and
-//!   all protocol state (SRR, markers, failover) stays on the reactor
-//!   thread.
+//!   behind the same [`BatchIo`] API; also `SO_SNDBUF`/`SO_RCVBUF`
+//!   configuration and the `/proc/net/udp` kernel-drop estimate.
 //!
 //! Steady state, neither direction allocates: the send side reuses its
 //! scratch and frame buffers, the receive side cycles pooled buffers
@@ -79,25 +70,21 @@ pub mod chaos;
 pub mod clock;
 pub mod demux;
 pub mod est;
-pub mod fault;
 pub mod frame;
 pub mod lifecycle;
 pub mod path;
 pub mod pool;
 pub mod reactor;
 pub mod recv;
-pub mod ring;
 pub mod server;
-pub mod shard;
 pub mod sys;
 pub mod udp;
 
 pub use adapt::{AdaptiveConfig, AdaptiveSnapshot, AdaptiveTuner};
-pub use chaos::{ChaosPlan, ChaosSnapshot, ImpairedLink};
+pub use chaos::{ChaosPlan, ChaosSnapshot, DropPolicy, ImpairedLink};
 pub use clock::WallClock;
 pub use demux::{FlowDemux, FlowDemuxBuilder, FlowDemuxSnapshot, FlowSink};
 pub use est::{rate_shares, ChannelEstimator, Ewma};
-pub use fault::{DropLink, DropPolicy};
 pub use frame::{Frame, FRAME_HEADER_LEN, FRAME_MAGIC, FRAME_VERSION};
 pub use lifecycle::{
     ChannelLifecycle, LifecycleAction, LifecycleConfig, LifecycleSnapshot, LifecycleState,
@@ -109,11 +96,9 @@ pub use reactor::{
     ServerReactor,
 };
 pub use recv::{NetLogicalReceiver, NetLogicalReceiverBuilder, NetRxSnapshot};
-pub use ring::{spsc, Consumer, Producer};
 pub use server::{
     FlowError, FlowHandle, FlowId, FlowSnapshot, PumpEvent, StripeServer, StripeServerBuilder,
     StripeServerSnapshot,
 };
-pub use shard::{ShardConfig, ShardedUdpChannel};
 pub use sys::BatchIo;
 pub use udp::{UdpChannel, UdpChannelBuilder, UdpChannelSnapshot};

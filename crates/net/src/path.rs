@@ -1,7 +1,7 @@
 //! The real-socket striping sender: [`NetStripedPath`] is the
 //! [`StripedPath`] of the kernel-network world — implemented, since the
 //! multi-flow redesign, as the *single-flow special case* of
-//! [`StripeServer`](crate::server::StripeServer).
+//! [`StripeServer`].
 //!
 //! The path owns a one-flow server in legacy-frame mode: flow 0, an
 //! unbounded flow queue, untagged version-1 frames on the wire. A
@@ -19,7 +19,9 @@
 //! - `arrival: Some(now)` in a [`Transmission`] means "handed to the
 //!   network at this instant". The real arrival time is unknowable; the
 //!   far end finds out when the frame shows up. `None` still means the
-//!   frame never left ([`TxError::QueueFull`] backpressure and friends).
+//!   frame never left
+//!   ([`TxError::QueueFull`](stripe_link::TxError::QueueFull)
+//!   backpressure and friends).
 //! - The batch path encodes into recycled buffers and offers each
 //!   same-channel run through [`DatagramLink::send_run_owned`] — the
 //!   zero-copy `sendmmsg` seam, with one end-of-batch flush submitting

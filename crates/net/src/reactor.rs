@@ -14,7 +14,7 @@
 //!
 //! Since the lifecycle work the reactor is also the recovery
 //! *orchestrator*: each channel carries a
-//! [`ChannelLifecycle`](crate::lifecycle::ChannelLifecycle) machine, and
+//! [`ChannelLifecycle`] machine, and
 //! every poll feeds it death evidence (link flags, liveness verdicts),
 //! executes its one side effect (cooldown elapsed →
 //! [`DatagramLink::revive`]), and watches the failover driver for the
@@ -137,8 +137,8 @@ pub struct ReactorSnapshot {
     pub dropped_malformed: u64,
     /// Failover ticks delivered.
     pub ticks: u64,
-    /// Channels the link layer reported dead (socket hard errors, worker
-    /// panics) that the failover driver newly declared dead.
+    /// Channels the link layer reported dead (socket hard errors) that
+    /// the failover driver newly declared dead.
     pub link_dead_reports: u64,
     /// Channels observed recovering (first probe ack on a dead channel),
     /// i.e. membership *grow* announcements begun by the driver.
@@ -290,9 +290,8 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
     /// One readiness sweep at `now`:
     ///
     /// 1. flush every channel's parked send backlog toward the kernel;
-    /// 2. surface link-layer death reports (socket hard errors, worker
-    ///    panics) to the failover driver, short-circuiting the keepalive
-    ///    deadline;
+    /// 2. surface link-layer death reports (socket hard errors) to the
+    ///    failover driver, short-circuiting the keepalive deadline;
     /// 3. drain the reverse path, feeding control to the failover driver;
     /// 4. step each channel's recovery lifecycle — cooldowns, socket
     ///    rebuilds ([`DatagramLink::revive`]), and the probe/rejoin

@@ -1,7 +1,7 @@
 //! The real-socket logical receiver: physical reception off N datagram
 //! links into the shared resequencing engine — implemented, since the
 //! multi-flow redesign, as *flow 0* of a
-//! [`FlowDemux`](crate::demux::FlowDemux).
+//! [`FlowDemux`].
 //!
 //! [`NetLogicalReceiver`] wraps a demux whose population is capped at
 //! one flow, pre-instantiated at build. Version-1 (untagged) frames

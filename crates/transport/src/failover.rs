@@ -2,7 +2,7 @@
 //!
 //! This is where the pieces meet. [`FailoverDriver`] sits beside the
 //! sender's datapath — anything implementing
-//! [`ControlPath`](crate::stripe_conn::ControlPath): the simulated
+//! [`ControlPath`]: the simulated
 //! [`StripedPath`](crate::stripe_conn::StripedPath) or the real-socket
 //! `NetStripedPath` from `stripe-net` — and owns the two control-plane
 //! state machines:
@@ -275,10 +275,10 @@ impl FailoverDriver {
     }
 
     /// Out-of-band death evidence for `channel` — the link layer itself
-    /// reported the channel dead (a connected-UDP socket hard error, a
-    /// panicked I/O worker). Declares it dead immediately and announces
-    /// the shrunken mask, instead of waiting out the keepalive deadline
-    /// the evidence has already made moot. Idempotent: repeated reports
+    /// reported the channel dead (a connected-UDP socket hard error).
+    /// Declares it dead immediately and announces the shrunken mask,
+    /// instead of waiting out the keepalive deadline the evidence has
+    /// already made moot. Idempotent: repeated reports
     /// for an already-dead channel return no transmissions. Recovery is
     /// unchanged — probes keep flowing and the first ack regrows the set.
     pub fn on_link_dead<P: ControlPath>(

@@ -6,7 +6,7 @@
 //! Unlike `examples/udp_striping.rs` (which hand-rolls framing on raw
 //! sockets to show the mechanism), this demo uses the production
 //! datapath: `NetStripedPath` for causal striping + wire framing,
-//! `DropLink` for reproducible loss, `NetLogicalReceiver` for pooled
+//! `ImpairedLink` for reproducible loss, `NetLogicalReceiver` for pooled
 //! zero-copy reception, and a single-threaded poll loop — no threads,
 //! no async runtime. The delivered sequence is scored with the §6.3
 //! reorder metrics.
@@ -20,7 +20,7 @@ use stripe::core::receiver::RxBatch;
 use stripe::core::sched::Srr;
 use stripe::core::sender::MarkerConfig;
 use stripe::net::{
-    DropLink, DropPolicy, NetLogicalReceiver, NetStripedPath, UdpChannel, WallClock,
+    ChaosPlan, DropPolicy, ImpairedLink, NetLogicalReceiver, NetStripedPath, UdpChannel, WallClock,
 };
 use stripe::transport::TxBatch;
 
@@ -60,7 +60,7 @@ fn main() -> std::io::Result<()> {
                     } else {
                         DropPolicy::None
                     };
-                    DropLink::new(l, policy)
+                    ImpairedLink::new(l, ChaosPlan::none().loss(policy), 0)
                 })
                 .collect(),
         )
@@ -105,7 +105,7 @@ fn main() -> std::io::Result<()> {
         std::thread::yield_now();
     }
 
-    let dropped: u64 = path.links().iter().map(|l| l.dropped()).sum();
+    let dropped: u64 = path.links().iter().map(|l| l.snapshot().dropped_loss).sum();
     let m = analyze(&got);
     let s = m.stats();
 

@@ -93,7 +93,7 @@ pub mod test_runner {
     }
 }
 
-/// The [`Strategy`] trait and combinators.
+/// The [`Strategy`](strategy::Strategy) trait and combinators.
 pub mod strategy {
     use crate::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};

@@ -273,8 +273,8 @@ fn link_death_degrades_and_recovery_reintegrates() {
     }
 }
 
-/// Out-of-band death evidence (a socket hard error, a panicked I/O
-/// worker) short-circuits the keepalive deadline: `on_link_dead`
+/// Out-of-band death evidence (a socket hard error) short-circuits the
+/// keepalive deadline: `on_link_dead`
 /// announces the shrunken mask immediately, idempotently, and leaves the
 /// recovery path intact.
 #[test]

@@ -20,7 +20,8 @@ use stripe::core::sched::{ChannelMark, Srr};
 use stripe::core::sender::MarkerConfig;
 use stripe::net::frame::{self, Frame, FRAME_HEADER_LEN};
 use stripe::net::{
-    DropLink, DropPolicy, NetLogicalReceiver, NetStripedPath, PooledBuf, UdpChannel, WallClock,
+    ChaosPlan, DropPolicy, ImpairedLink, NetLogicalReceiver, NetStripedPath, PooledBuf, UdpChannel,
+    WallClock,
 };
 use stripe::transport::TxBatch;
 
@@ -128,14 +129,15 @@ fn drop_window_recovers_within_marker_interval() {
         .scheduler(Srr::equal(CHANNELS, QUANTUM))
         .markers(MarkerConfig::every_rounds(4))
         .links(vec![
-            DropLink::new(
+            ImpairedLink::new(
                 a0,
-                DropPolicy::Window {
+                ChaosPlan::none().loss(DropPolicy::Window {
                     from: DROP_FROM,
                     to: DROP_TO,
-                },
+                }),
+                0,
             ),
-            DropLink::new(a1, DropPolicy::None),
+            ImpairedLink::new(a1, ChaosPlan::none(), 0),
         ])
         .build();
     let mut rx = NetLogicalReceiver::builder()
@@ -175,7 +177,7 @@ fn drop_window_recovers_within_marker_interval() {
         std::thread::yield_now();
     }
 
-    let dropped = path.links()[0].dropped();
+    let dropped = path.links()[0].snapshot().dropped_loss;
     assert_eq!(dropped, DROP_TO - DROP_FROM, "drop window must be exact");
     assert_eq!(
         got.len(),
@@ -236,8 +238,12 @@ fn periodic_loss_stays_quasi_fifo_and_resyncs_on_markers() {
         .scheduler(Srr::equal(CHANNELS, QUANTUM))
         .markers(MarkerConfig::every_rounds(4))
         .links(vec![
-            DropLink::new(a0, DropPolicy::Periodic { period: PERIOD }),
-            DropLink::new(a1, DropPolicy::None),
+            ImpairedLink::new(
+                a0,
+                ChaosPlan::none().loss(DropPolicy::Periodic { period: PERIOD }),
+                0,
+            ),
+            ImpairedLink::new(a1, ChaosPlan::none(), 0),
         ])
         .build();
     let mut rx = NetLogicalReceiver::builder()
@@ -279,7 +285,7 @@ fn periodic_loss_stays_quasi_fifo_and_resyncs_on_markers() {
             rx.recycle(pb);
         }
         if next_id >= TOTAL {
-            let expected = TOTAL - path.links()[0].dropped();
+            let expected = TOTAL - path.links()[0].snapshot().dropped_loss;
             if got.len() as u64 >= expected {
                 break;
             }
@@ -287,7 +293,7 @@ fn periodic_loss_stays_quasi_fifo_and_resyncs_on_markers() {
         std::thread::yield_now();
     }
 
-    let dropped = path.links()[0].dropped();
+    let dropped = path.links()[0].snapshot().dropped_loss;
     assert!(
         dropped >= TOTAL / (PERIOD * CHANNELS as u64 * 2),
         "the periodic policy must keep firing all run ({dropped} drops)"
